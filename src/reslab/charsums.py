@@ -12,9 +12,17 @@ R(d)^2 and summing characters first, but exponentially cheaper).  A
 weighted-average pigeonhole then exhibits a single discriminant whose
 truncated smoothed sum is at most Num/Den.
 
-All floating accumulation uses exact compensated summation (math.fsum) over
-fixed, contiguous d-chunks; the cross-chunk reduction order is fixed by
-chunk index, so results are bit-identical regardless of worker count.
+scan_family is the one pass over the family.  It runs over fixed,
+contiguous d-chunks, serially or in a process pool.  Within a chunk,
+chi_{8d}(n) is gathered from a residue table only at primes p and built
+for composite n from int8 products chi(p) chi(n/p), since the character
+is completely multiplicative.  Each chunk reduces its weights to floats
+whose exact sum is the chunk's exact sum (repeated math.fsum); one fsum
+over every chunk's parts then gives the correctly rounded Den and Num, so
+results are bit-identical for any worker count and any chunk size.  An
+optional sink receives every chunk's rows (d, T(d), R(d)^2) in chunk
+order, which is how the CLI writes the family CSV from the same pass.
+Checkpoints are keyed on everything that determines a chunk.
 """
 
 from __future__ import annotations
@@ -28,9 +36,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import arith, resonator, smoothing
+from . import __version__, arith, resonator, smoothing
 from .resonator import CoefficientTable, ResonatorParams, SignState
 
 
@@ -203,10 +210,6 @@ class PartialSumKernel:
         return math.fsum(terms)
 
 
-def S_of_y(y: float, kernel: PartialSumKernel) -> float:
-    return kernel.S(y)
-
-
 def S_star(y: float, kernel: PartialSumKernel) -> float:
     return kernel.S_star(y)
 
@@ -341,25 +344,59 @@ class FamilyScan:
     chunk_count: int
 
 
+class CheckpointError(ValueError):
+    """A scan checkpoint is unreadable, belongs to a different run, or
+    disagrees with the chunks it claims to hold."""
+
+
 def _scan_state(params, table, test_fn):
+    """What every chunk of one scan shares: the support with r(n), the
+    truncation weights phi(n/x)/sqrt(n), and the prime basis.
+
+    Every support element and every odd n <= 2x factors over primes no
+    larger than max(2x, B).  The basis lists those primes with their
+    residue tables, and each composite n as (n, p) with p its least prime
+    factor; sorted by n, so the cofactor n/p, which is in the list or is 1,
+    always comes first.
+    """
     x = params.x
-    sup_ns = np.array([n for n, _ in table.support], dtype=np.int64)
-    sup_rs = np.array([r for _, r in table.support])
-    tr_ns = np.arange(1, int(2 * x) + 1, 2, dtype=np.int64)
-    tr_cf = np.array([test_fn.value(int(n) / x) / math.sqrt(int(n)) for n in tr_ns])
-    keep = tr_cf != 0.0
-    tr_ns, tr_cf = tr_ns[keep], tr_cf[keep]
-    tables = {int(n): _char_table(int(n))
-              for n in set(sup_ns.tolist()) | set(tr_ns.tolist())}
+    support = [(int(n), float(r)) for n, r in table.support]
+    truncation = []
+    for n in range(1, int(2 * x) + 1, 2):
+        c = test_fn.value(n / x) / math.sqrt(n)
+        if c != 0.0:
+            truncation.append((n, c))
+    spf = arith.smallest_prime_factor(int(2 * x))
+    band = sorted(set(table.pminus) | set(table.pplus))
+    least = {}
+    todo = [n for n, _ in support + truncation if n > 1]
+    while todo:
+        n = todo.pop()
+        if n in least:
+            continue
+        # past the spf table only support elements remain: band products
+        p = int(spf[n]) if n < len(spf) else next(q for q in band if n % q == 0)
+        least[n] = p
+        if p != n:
+            todo += [p, n // p]
     return {
-        "sup_ns": sup_ns, "sup_rs": sup_rs,
-        "tr_ns": tr_ns, "tr_cf": tr_cf,
-        "tables": tables,
+        "support": support,
+        "truncation": truncation,
+        "primes": [(p, _char_table(p))
+                   for p in sorted(n for n, p in least.items() if n == p)],
+        "composites": sorted((n, p) for n, p in least.items() if n != p),
     }
 
 
 def _chunk_arrays(lo: int, hi: int, state: dict):
-    """Admissible d in [lo, hi] with weights R(d)^2 and truncated sums."""
+    """Admissible d in [lo, hi] with weights R(d)^2 and truncated sums.
+
+    chi_{8d} is completely multiplicative, so a residue table is gathered
+    once per prime and chi(n) = chi(p) chi(n/p) is formed as an int8
+    product.  R and T then accumulate over n in the order of the support
+    and of the truncation, so their floats do not depend on how chi was
+    obtained.
+    """
     d = np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
     if d.size:
         sf = arith.squarefree_sieve(lo, hi)[d - lo].astype(bool)
@@ -367,22 +404,47 @@ def _chunk_arrays(lo: int, hi: int, state: dict):
     if d.size == 0:
         return d, np.zeros(0), np.zeros(0)
     m8 = 8 * d
+    chi = {1: np.ones(d.size, dtype=np.int8)}
+    for p, tab in state["primes"]:
+        chi[p] = tab[m8 % p]
+    for n, p in state["composites"]:
+        chi[n] = chi[p] * chi[n // p]
     R = np.zeros(d.size)
-    for n, r in zip(state["sup_ns"].tolist(), state["sup_rs"].tolist()):
-        R += r * state["tables"][n][m8 % n]
+    for n, r in state["support"]:
+        R += r * chi[n]
     t = np.zeros(d.size)
-    for n, c in zip(state["tr_ns"].tolist(), state["tr_cf"].tolist()):
-        t += c * state["tables"][n][m8 % n]
+    for n, c in state["truncation"]:
+        t += c * chi[n]
     return d, R * R, t
 
 
-def _scan_chunk(lo: int, hi: int, state: dict):
-    """One contiguous d-chunk [lo, hi]; deterministic for fixed (lo, hi)."""
-    d, w, t = _chunk_arrays(lo, hi, state)
+def _exact_parts(xs: list) -> list:
+    """Floats, largest first, whose exact sum is the exact sum of xs.
+
+    fsum rounds correctly, so each pass appends the rounded remainder
+    until none is left.  One fsum over the parts of every chunk is then
+    the correctly rounded sum of the whole family, however it is chunked.
+    """
+    parts = []
+    while True:
+        rest = math.fsum(xs + [-p for p in parts])
+        if rest == 0.0:
+            return parts
+        parts.append(rest)
+        if not math.isfinite(rest):
+            return parts
+
+
+def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
+    """Summary [Den parts, Num parts, min T over positive weight, its d,
+    admissible count] of the chunk [lo, hi], and its rows (d, T, R^2) when
+    keep_rows; deterministic for fixed bounds."""
+    d, w, t = _chunk_arrays(*bounds, state)
+    rows = (d, t, w) if keep_rows else None
     if d.size == 0:
-        return (0.0, 0.0, math.inf, -1, 0)
-    denom = math.fsum(w.tolist())
-    numer = math.fsum((w * t).tolist())
+        return [[], [], math.inf, -1, 0], rows
+    denom = _exact_parts(w.tolist())
+    numer = _exact_parts((w * t).tolist())
     pos = w > 0
     if np.any(pos):
         tp = np.where(pos, t, math.inf)
@@ -390,7 +452,7 @@ def _scan_chunk(lo: int, hi: int, state: dict):
         mval, md = float(t[i]), int(d[i])
     else:
         mval, md = math.inf, -1
-    return (denom, numer, mval, md, int(d.size))
+    return [denom, numer, mval, md, int(d.size)], rows
 
 
 _WORKER_STATE = None
@@ -402,39 +464,71 @@ def _init_worker(state):
 
 
 def _worker_chunk(args):
-    lo, hi = args
-    return _scan_chunk(lo, hi, _WORKER_STATE)
+    bounds, keep_rows = args
+    return _scan_chunk(bounds, _WORKER_STATE, keep_rows)
 
 
 def default_workers() -> int:
     env = os.environ.get("RESLAB_WORKERS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         w = int(env)
-        if w < 1:
-            raise ValueError("RESLAB_WORKERS must be a positive integer")
-        return w
-    return os.cpu_count() or 1
+    except ValueError:
+        w = 0
+    if w < 1:
+        raise ValueError(f"RESLAB_WORKERS must be a positive integer, got {env!r}")
+    return w
 
 
-def scan_digest(params: ResonatorParams, table: CoefficientTable, x: float) -> str:
+def _scan_digest(params: ResonatorParams, table: CoefficientTable,
+                 state: dict, chunk_size: int) -> str:
+    """Identity of a scan: everything that determines a chunk's summary.
+
+    The test function enters the chunks only through the truncation
+    weights, so those weights stand for it.
+    """
     payload = {
-        "D": params.D, "x": x, "Z": params.Z, "L": params.L, "B": params.B,
-        "support": [[int(n), float(r)] for n, r in (table.support or ())],
+        "version": __version__,
+        "D": params.D, "x": params.x, "Z": params.Z, "L": params.L, "B": params.B,
+        "pminus": [params.pminus_lo, params.pminus_hi],
+        "chunk_size": chunk_size,
+        "support": state["support"],
+        "truncation": state["truncation"],
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
 
 
+def _load_checkpoint(path: str, digest: str) -> dict[int, list]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ck = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    if not isinstance(ck, dict) or ck.get("digest") != digest:
+        raise CheckpointError(f"checkpoint {path} belongs to a different run")
+    return {int(k): v for k, v in ck["chunks"].items()}
+
+
 def scan_family(params: ResonatorParams, table: CoefficientTable,
                 test_fn: smoothing.TestFunction | None = None,
                 workers: int | None = None, chunk_size: int = 1 << 17,
-                checkpoint: str | None = None) -> FamilyScan:
+                checkpoint: str | None = None, sink=None) -> FamilyScan:
     """Denominator, numerator, and weighted minimum over the whole family.
 
-    Chunks are reduced in index order; each chunk is an exact compensated
-    sum, so the result does not depend on the worker count.  An optional
-    checkpoint file (JSON, digest-guarded) lets an interrupted run resume.
+    Each chunk reduces to the exact parts of its sums, and one fsum over
+    all parts gives the correctly rounded totals, so the result does not
+    depend on the worker count or the chunk size.  An optional
+    checkpoint file (JSON, keyed on the run's digest) lets an interrupted
+    run resume.
+
+    An optional ``sink(d, t, w)`` receives every chunk's rows, the arrays
+    of admissible d with T(d) and R(d)^2, in chunk-index order, from the
+    calling process.  Because it needs every row, chunks restored from a
+    checkpoint are computed again, and each must reproduce its stored
+    summary exactly or CheckpointError is raised.
     """
     if table.support is None:
         raise ValueError("support not enumerated; call table.with_support()")
@@ -451,42 +545,43 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
         raise EmptyFamilyError(f"empty range ({D/2}, {D}]")
     bounds = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
 
-    digest = scan_digest(params, table, params.x)
-    done: dict[int, tuple] = {}
-    if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            ck = json.load(fh)
-        if ck.get("digest") != digest:
-            raise ValueError(f"checkpoint {checkpoint} belongs to a different run")
-        done = {int(k): tuple(v) for k, v in ck["chunks"].items()}
-
     state = _scan_state(params, table, test_fn)
-    todo = [i for i in range(len(bounds)) if i not in done]
+    digest = _scan_digest(params, table, state, chunk_size)
+    done: dict[int, list] = {}
+    if checkpoint and os.path.exists(checkpoint):
+        done = _load_checkpoint(checkpoint, digest)
+    keep_rows = sink is not None
+    todo = [i for i in range(len(bounds)) if keep_rows or i not in done]
 
-    def save():
-        if checkpoint:
-            tmp = checkpoint + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump({"digest": digest,
-                           "chunks": {str(k): list(v) for k, v in done.items()}},
-                          fh)
-            os.replace(tmp, checkpoint)
+    def record(i, summary, rows):
+        if i in done:
+            if done[i] != summary:
+                raise CheckpointError(
+                    f"checkpoint {checkpoint}: chunk {i} does not match its "
+                    f"recomputation")
+        else:
+            done[i] = summary
+            if checkpoint:
+                tmp = checkpoint + ".tmp"
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump({"digest": digest, "chunks": done}, fh)
+                os.replace(tmp, checkpoint)
+        if keep_rows:
+            sink(*rows)
 
     workers = workers if workers is not None else default_workers()
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as ex:
-            for i, res in zip(todo, ex.map(_worker_chunk,
-                                           [bounds[i] for i in todo])):
-                done[i] = res
-                save()
+            jobs = [(bounds[i], keep_rows) for i in todo]
+            for i, res in zip(todo, ex.map(_worker_chunk, jobs)):
+                record(i, *res)
     else:
         for i in todo:
-            done[i] = _scan_chunk(*bounds[i], state)
-            save()
+            record(i, *_scan_chunk(bounds[i], state, keep_rows))
 
-    denom = math.fsum(done[i][0] for i in range(len(bounds)))
-    numer = math.fsum(done[i][1] for i in range(len(bounds)))
+    denom = math.fsum(p for i in range(len(bounds)) for p in done[i][0])
+    numer = math.fsum(p for i in range(len(bounds)) for p in done[i][1])
     best = min((done[i][2], done[i][3]) for i in range(len(bounds)))
     count = sum(done[i][4] for i in range(len(bounds)))
     return FamilyScan(denom, numer, best[0], best[1], count, len(bounds))
@@ -571,12 +666,13 @@ def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState,
                        test_fn: smoothing.TestFunction | None = None,
                        workers: int | None = None,
-                       checkpoint: str | None = None) -> RatioReport:
+                       checkpoint: str | None = None, sink=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
-    exact weighted-average pigeonhole  min <= Num/Den."""
+    exact weighted-average pigeonhole  min <= Num/Den.  ``sink`` receives
+    the family's rows as in scan_family."""
     scan = scan_family(params, table, test_fn=test_fn, workers=workers,
-                       checkpoint=checkpoint)
+                       checkpoint=checkpoint, sink=sink)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom
@@ -670,6 +766,8 @@ def afe_central_value(d: int, v_weight=None) -> AfeValue:
         if chi[n]
     ]
     value = 2.0 * math.fsum(terms)
+    from scipy.integrate import quad
+
     tail, _ = quad(lambda t: V(scale * t) / math.sqrt(t), nmax, 10 * nmax + 100,
                    limit=200)
     return AfeValue(value, 2.0 * tail, nmax)

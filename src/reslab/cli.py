@@ -6,7 +6,13 @@ JSON written atomically (temp file + rename) so a failed run leaves no
 partial outputs.
 
 Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 work-estimate
-abort.
+abort.  Config errors include a RESLAB_WORKERS that is not a positive
+integer and a ``ratio --checkpoint`` file that is not a scan checkpoint,
+belongs to another run, or disagrees with the recomputed chunks; each ends
+with one line on stderr, not a traceback.
+
+``ratio`` writes family_sums.csv from the same pass over the family that
+computes the report: the scan hands each chunk's rows to a sink here.
 
 Reports are deterministic: the canonical serialization excludes timing, and
 all family reductions happen in fixed chunk order, so identical configs
@@ -16,6 +22,7 @@ produce bit-identical report bytes regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -107,9 +114,13 @@ class RunConfig:
         return resonator.build_params(self.D, a=self.a, mode=self.mode, **kw)
 
     def worker_count(self) -> int:
-        if os.environ.get("RESLAB_WORKERS"):
+        """RESLAB_WORKERS, else the config's workers, else the CPU count."""
+        if self.workers and not os.environ.get("RESLAB_WORKERS"):
+            return self.workers
+        try:
             return charsums.default_workers()
-        return self.workers if self.workers else charsums.default_workers()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -165,8 +176,11 @@ def _build_pipeline(cfg: RunConfig):
 def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
     t0 = time.time()
     params, table, signs, kernel = _build_pipeline(cfg)
-    report = charsums.pigeonhole_extract(
-        params, table, signs, workers=cfg.worker_count(), checkpoint=checkpoint)
+    workers = cfg.worker_count()
+    with _family_csv(cfg.outdir) as sink:
+        report = charsums.pigeonhole_extract(
+            params, table, signs, workers=workers, checkpoint=checkpoint,
+            sink=sink)
     ok = report.extremal_value <= report.ratio + 1e-9 * abs(report.ratio)
     payload = {
         "version": __version__,
@@ -191,7 +205,6 @@ def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
         "timing": {"seconds": time.time() - t0},
     }
     path = write_report(cfg.outdir, "ratio_report.json", payload)
-    _emit_family_csv(cfg, params, table)
     print(f"report: {path}")
     print(f"ratio N/Den = {report.ratio!r}")
     print(f"extremal d* = {report.extremal_d}, sum = {report.extremal_value!r}")
@@ -201,21 +214,30 @@ def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
     return EXIT_PASS
 
 
-def _emit_family_csv(cfg: RunConfig, params, table) -> str:
-    state = charsums._scan_state(params, table, smoothing.canonical_phi())
-    lo, hi = int(params.D // 2) + 1, int(params.D)
-    path = os.path.join(cfg.outdir, "family_sums.csv")
+@contextlib.contextmanager
+def _family_csv(outdir: str):
+    """A scan sink that streams the rows d, T(d), R(d)^2 to
+    family_sums.csv.  The rows go to a temp file, renamed into place only
+    when the scan completes.  Lines are what csv.writer would write (the
+    fields never need quoting: ints and repr floats), built directly
+    because that is twice as fast."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, "family_sums.csv")
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["d", "truncated_sum", "weight"])
-        for a in range(lo, hi + 1, 1 << 17):
-            b = min(a + (1 << 17) - 1, hi)
-            d, w, t = charsums._chunk_arrays(a, b, state)
-            for di, ti, wi in zip(d.tolist(), t.tolist(), w.tolist()):
-                wr.writerow([di, repr(ti), repr(wi)])
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write("d,truncated_sum,weight\r\n")
+
+            def sink(d, t, w):
+                fh.write("".join([f"{di},{ti!r},{wi!r}\r\n" for di, ti, wi
+                                  in zip(d.tolist(), t.tolist(), w.tolist())]))
+
+            yield sink
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
-    return path
 
 
 def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
@@ -440,7 +462,8 @@ def main(argv=None) -> int:
         if args.command == "afe":
             return cmd_afe(cfg, args.d)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, resonator.ParamsError, arith.InvalidDiscriminant) as e:
+    except (ConfigError, resonator.ParamsError, arith.InvalidDiscriminant,
+            charsums.CheckpointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except charsums.WorkEstimateError as e:

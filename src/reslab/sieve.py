@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import smoothing
 from .smoothing import AccuracyError
@@ -69,6 +68,8 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
     lg = np.log(ns)[:, None] - np.log(ns)[None, :]
     kern = np.where(lg == 0.0, 2.0 * alpha, 2.0 * np.sin(alpha * lg) / np.where(lg == 0, 1.0, lg))
     closed = float(np.real(a[None, :].conj() @ kern @ a[:, None])[0, 0])
+
+    from scipy.integrate import quad
 
     quadval, _ = quad(lambda t: abs(P(t)) ** 2, -alpha, alpha, limit=200)
     scale = 2.0 * alpha * float(np.sum(np.abs(a) ** 2))
@@ -179,6 +180,8 @@ def autocorrelation_sigma(x: float, sigma: float) -> float:
     hi = min(0.0, -x)
     if lo >= hi:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(lambda u: f_sigma(u, sigma) * f_sigma(u + x, sigma),
                   lo, hi, epsabs=1e-12, limit=200)
     return val

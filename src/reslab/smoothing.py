@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 def _as_out(x, out):
@@ -169,6 +168,8 @@ def afe_weight_V(x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise ValueError("afe_weight_V needs x >= 0")
+    from scipy.special import gammaincc
+
     return _as_out(x, gammaincc(0.25, xa * xa))
 
 

@@ -6,8 +6,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reslab import arith, charsums, resonator
+from reslab import arith, charsums, resonator, smoothing
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,79 @@ class TestFamilyScan:
             charsums.scan_family(small_params, small_table, workers=1,
                                  checkpoint=ck)
 
+    @pytest.mark.parametrize("change", [
+        {"chunk_size": 64},
+        {"test_fn": dataclasses.replace(
+            smoothing.canonical_phi(), value=lambda u: smoothing.phi(1.5 * u))},
+    ], ids=["chunk_size", "test_fn"])
+    def test_checkpoint_keyed_on_run(self, small_params, small_table,
+                                     tmp_path, change):
+        # chunks are stored by index, so a checkpoint written with 16-wide
+        # chunks read back with 64-wide ones would merge the wrong ranges
+        ck = str(tmp_path / "scan.json")
+        charsums.scan_family(small_params, small_table, workers=1,
+                             chunk_size=16, checkpoint=ck)
+        kw = {"chunk_size": 16, **change}
+        with pytest.raises(charsums.CheckpointError, match="different run"):
+            charsums.scan_family(small_params, small_table, workers=1,
+                                 checkpoint=ck, **kw)
+
+    def test_checkpoint_not_json(self, small_params, small_table, tmp_path):
+        ck = tmp_path / "scan.json"
+        ck.write_text("not a checkpoint\n")
+        with pytest.raises(charsums.CheckpointError, match="cannot read"):
+            charsums.scan_family(small_params, small_table, workers=1,
+                                 checkpoint=str(ck))
+
+    def test_sink_rows_survive_resume(self, small_params, small_table,
+                                      tmp_path):
+        def scan(ck):
+            rows = []
+            out = charsums.scan_family(
+                small_params, small_table, workers=1, chunk_size=16,
+                checkpoint=ck, sink=lambda *r: rows.append(
+                    [a.tolist() for a in r]))
+            return out, rows
+
+        ck = str(tmp_path / "scan.json")
+        first = scan(ck)
+        with open(ck) as fh:
+            saved = json.load(fh)
+        saved["chunks"] = dict(list(saved["chunks"].items())[::2])
+        with open(ck, "w") as fh:
+            json.dump(saved, fh)
+        assert scan(ck) == first
+        # restored chunks are recomputed for their rows and must match
+        saved["chunks"]["0"][4] += 1
+        with open(ck, "w") as fh:
+            json.dump(saved, fh)
+        with pytest.raises(charsums.CheckpointError, match="chunk 0"):
+            scan(ck)
+
+    @settings(max_examples=30, deadline=None)
+    @given(D=st.integers(1, 1200), chunk_size=st.integers(1, 200))
+    def test_sink_rows_match_per_d_routes(self, small_params, small_table,
+                                          D, chunk_size):
+        params = dataclasses.replace(small_params, D=D)
+        rows = []
+        scan = charsums.scan_family(
+            params, small_table, workers=1, chunk_size=chunk_size,
+            sink=lambda d, t, w: rows.extend(
+                zip(d.tolist(), t.tolist(), w.tolist())))
+        admissible = [d for d in range(D // 2 + 1, D + 1)
+                      if d % 2 == 1 and arith.is_squarefree(d)]
+        assert [d for d, _, _ in rows] == admissible
+        for d, t, w in rows:
+            assert t == pytest.approx(charsums.truncated_sum(d, params.x),
+                                      rel=1e-12)
+            assert w == pytest.approx(charsums.big_R(d, small_table) ** 2,
+                                      rel=1e-12)
+        whole = charsums.scan_family(params, small_table, workers=1,
+                                     chunk_size=D)
+        assert whole.chunk_count == 1
+        assert scan == dataclasses.replace(whole,
+                                           chunk_count=scan.chunk_count)
+
     def test_work_guards(self, small_params, small_table):
         huge = dataclasses.replace(small_params, D=charsums.MAX_D_EXACT + 1)
         with pytest.raises(charsums.WorkEstimateError):
@@ -198,9 +272,10 @@ class TestFamilyScan:
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv("RESLAB_WORKERS", "3")
         assert charsums.default_workers() == 3
-        monkeypatch.setenv("RESLAB_WORKERS", "0")
-        with pytest.raises(ValueError):
-            charsums.default_workers()
+        for bad in ("0", "abc"):
+            monkeypatch.setenv("RESLAB_WORKERS", bad)
+            with pytest.raises(ValueError, match="positive integer"):
+                charsums.default_workers()
 
 
 class TestRatioPipeline:

@@ -5,10 +5,15 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import reslab
 from reslab import charsums, cli
+
+SRC = os.path.dirname(os.path.dirname(reslab.__file__))
 
 
 SMALL_CFG = """\
@@ -162,15 +167,72 @@ class TestRatioCommand:
         monkeypatch.setenv("RESLAB_WORKERS", "1")
         outdir = tmp_path / "out"
         cfgp = tmp_path / "run.cfg"
-        cfgp.write_text(SMALL_CFG + f"outdir = {outdir}\n")
+        # D = 3e5 gives the family two chunks of the default size
+        cfgp.write_text(SMALL_CFG.replace("D = 200", "D = 300000")
+                        + f"outdir = {outdir}\n")
         ck = str(tmp_path / "scan.ckpt")
-        assert cli.main(["--config", str(cfgp), "ratio",
-                         "--checkpoint", ck]) == cli.EXIT_PASS
-        first = (outdir / "ratio_report.json").read_bytes()
-        assert os.path.exists(ck)
-        assert cli.main(["--config", str(cfgp), "ratio",
-                         "--checkpoint", ck]) == cli.EXIT_PASS
-        assert (outdir / "ratio_report.json").read_bytes() == first
+
+        def run():
+            assert cli.main(["--config", str(cfgp), "ratio",
+                             "--checkpoint", ck]) == cli.EXIT_PASS
+            return ((outdir / "ratio_report.json").read_bytes(),
+                    (outdir / "family_sums.csv").read_bytes())
+
+        first = run()
+        with open(ck) as fh:
+            saved = json.load(fh)
+        assert len(saved["chunks"]) == 2
+        # a complete checkpoint: every chunk restored, and recomputed for the CSV
+        assert run() == first
+        # drop half the chunks to simulate an interrupted run
+        saved["chunks"] = dict(list(saved["chunks"].items())[::2])
+        with open(ck, "w") as fh:
+            json.dump(saved, fh)
+        assert run() == first
+
+
+def _run_cli(args, cwd, workers="1"):
+    env = dict(os.environ, PYTHONPATH=SRC, RESLAB_WORKERS=workers)
+    return subprocess.run([sys.executable, "-m", "reslab.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
+                                      "checkpoint_not_json"])
+    def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
+        ck = tmp_path / "scan.ckpt"
+        workers = "1"
+        if case == "workers_not_int":
+            workers = "abc"
+        elif case == "foreign_checkpoint":
+            other = tmp_path / "other.cfg"
+            other.write_text(SMALL_CFG.replace("D = 200", "D = 300")
+                             + f"outdir = {tmp_path / 'other'}\n")
+            assert _run_cli(["--config", str(other), "ratio", "--checkpoint",
+                             str(ck)], tmp_path).returncode == cli.EXIT_PASS
+        else:
+            ck.write_text("{ not json\n")
+        proc = _run_cli(["--config", small_cfg_path, "ratio", "--checkpoint",
+                         str(ck)], tmp_path, workers=workers)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        outdir = cli.RunConfig.load(small_cfg_path).outdir
+        assert not os.path.exists(os.path.join(outdir, "family_sums.csv"))
+        assert not os.path.exists(os.path.join(outdir, "family_sums.csv.tmp"))
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # the ratio path needs numpy only; scipy is imported where it is used
+    code = ("import sys, reslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestScanCommand:
