@@ -1,5 +1,5 @@
-"""Exact integer kernels: Kronecker symbol, prime and squarefree sieves,
-factorization bookkeeping.
+"""Exact integer kernels: Kronecker symbol, Jacobi residue tables, prime
+and squarefree sieves, factorization bookkeeping.
 
 Everything here is pure integer arithmetic (no floating point inside the
 symbol computation) and safe to call concurrently.
@@ -52,6 +52,32 @@ def kronecker(m: int, n: int) -> int:
             res = -res
         a %= b
     return res if b == 1 else 0
+
+
+def jacobi_table(n: int) -> np.ndarray:
+    """(m|n) for m = 0..n-1, n odd positive, as int8; the symbol is periodic
+    mod n.
+
+    Each prime's Legendre table marks the squares k^2 mod p, k <= (p-1)/2,
+    and the tables combine over the factorization of n with multiplicity
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
+    """
+    n = int(n)
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"need odd n >= 1, got {n}")
+    out = np.ones(n, dtype=np.int8)
+    for p, e in factorize(n).factors:
+        leg = np.full(p, -1, dtype=np.int8)
+        leg[0] = 0
+        half = (p - 1) // 2
+        # squares in blocks, so a prime near 10^8 needs no 400 MB of k
+        for lo in range(1, half + 1, SEGMENT):
+            k = np.arange(lo, min(lo + SEGMENT, half + 1), dtype=np.int64)
+            leg[k * k % p] = 1
+        # (m|p) depends on m mod p: multiply every row of p residues in place
+        rows = out.reshape(-1, p)
+        rows *= leg**e
+    return out
 
 
 class InvalidDiscriminant(ValueError):

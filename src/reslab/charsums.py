@@ -28,6 +28,7 @@ Checkpoints are keyed on everything that determines a chunk.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -58,8 +59,7 @@ MAX_X = 10**6
 @lru_cache(maxsize=100_000)
 def _char_table(n: int) -> np.ndarray:
     """(m|n) for m = 0..n-1, n odd positive; the symbol is periodic mod n."""
-    assert n % 2 == 1 and n >= 1
-    return np.array([arith.kronecker(m, n) for m in range(n)], dtype=np.int8)
+    return arith.jacobi_table(n)
 
 
 # --------------------------------------------------------------------------
@@ -345,8 +345,9 @@ class FamilyScan:
 
 
 class CheckpointError(ValueError):
-    """A scan checkpoint is unreadable, belongs to a different run, or
-    disagrees with the chunks it claims to hold."""
+    """A scan checkpoint is unreadable, belongs to a different run,
+    disagrees with the chunks it claims to hold, or would be written to a
+    directory that does not exist."""
 
 
 def _scan_state(params, table, test_fn):
@@ -522,7 +523,7 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     all parts gives the correctly rounded totals, so the result does not
     depend on the worker count or the chunk size.  An optional
     checkpoint file (JSON, keyed on the run's digest) lets an interrupted
-    run resume.
+    run resume; its directory must exist before the scan starts.
 
     An optional ``sink(d, t, w)`` receives every chunk's rows, the arrays
     of admissible d with T(d) and R(d)^2, in chunk-index order, from the
@@ -544,6 +545,10 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     if lo > hi:
         raise EmptyFamilyError(f"empty range ({D/2}, {D}]")
     bounds = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
+
+    if checkpoint and not os.path.isdir(os.path.dirname(checkpoint) or "."):
+        raise CheckpointError(
+            f"checkpoint {checkpoint}: directory does not exist")
 
     state = _scan_state(params, table, test_fn)
     digest = _scan_digest(params, table, state, chunk_size)
@@ -734,15 +739,21 @@ class AfeValue:
 
 
 def _chi8d_values(d: int, nmax: int) -> np.ndarray:
-    """chi_{8d}(n) for n = 1..nmax, via multiplicativity over a spf table."""
+    """chi_{8d}(n) for n = 0..nmax: kronecker at each prime p <= nmax, then
+    complete multiplicativity, peeling one least prime factor per pass."""
     m = 8 * d
     spf = arith.smallest_prime_factor(nmax)
-    chi = np.zeros(nmax + 1, dtype=np.int8)
-    chi[1] = 1
-    for n in range(2, nmax + 1):
-        p = int(spf[n])
-        # the character is completely multiplicative
-        chi[n] = arith.kronecker(m, p) * int(chi[n // p])
+    at = np.zeros(nmax + 1, dtype=np.int8)  # chi at primes, and 1 at n = 1
+    at[1] = 1
+    for p in arith.primes_up_to(nmax).tolist():
+        at[p] = arith.kronecker(m, p)
+    chi = np.ones(nmax + 1, dtype=np.int8)
+    chi[0] = 0
+    rest = np.arange(1, nmax + 1)
+    while np.any(rest > 1):
+        p = spf[rest]
+        chi[1:] *= at[p]
+        rest //= p
     return chi
 
 
@@ -751,8 +762,12 @@ def afe_central_value(d: int, v_weight=None) -> AfeValue:
 
         2 sum_{n <= sqrt(q) log q} chi_{8d}(n) / sqrt(n) * V(n sqrt(pi/q)).
 
-    The reported tail bound majorizes the discarded terms by the integral
-    of V along the cutoff.
+    chi comes from one kronecker call per prime up to the cutoff, a route
+    independent of the oracle's residue tables.  V (``v_weight``, default
+    smoothing.afe_weight_V) is called once on the array of odd n with
+    chi(n) != 0, and the terms are summed by math.fsum.  The reported
+    tail bound majorizes the discarded terms by the integral of V along
+    the cutoff.
     """
     arith.check_2d_squarefree(d)
     V = v_weight or smoothing.afe_weight_V
@@ -760,12 +775,10 @@ def afe_central_value(d: int, v_weight=None) -> AfeValue:
     nmax = int(math.sqrt(q) * math.log(q))
     chi = _chi8d_values(d, max(nmax, 1))
     scale = math.sqrt(math.pi / q)
-    terms = [
-        int(chi[n]) / math.sqrt(n) * V(scale * n)
-        for n in range(1, nmax + 1, 2)
-        if chi[n]
-    ]
-    value = 2.0 * math.fsum(terms)
+    n = np.arange(1, nmax + 1, 2)
+    n = n[chi[n] != 0]
+    terms = chi[n] / np.sqrt(n) * V(scale * n)
+    value = 2.0 * math.fsum(terms.tolist())
     from scipy.integrate import quad
 
     tail, _ = quad(lambda t: V(scale * t) / math.sqrt(t), nmax, 10 * nmax + 100,
@@ -777,10 +790,12 @@ _BERN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
-    """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1."""
+    """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1.  The
+    direct part adds the terms (k + x)^(-1/2), k < N, one k at a time."""
     s = 0.5
-    k = np.arange(N)[:, None]
-    base = np.sum((k + x[None, :]) ** (-s), axis=0)
+    base = x ** (-s)
+    for k in range(1, N):
+        base += (k + x) ** (-s)
     w = N + x
     out = base + w ** (1 - s) / (s - 1) + 0.5 * w ** (-s)
     poch = s
@@ -792,13 +807,47 @@ def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
     return out
 
 
+# chi_{8d}(a) / (a|d) as a function of a mod 8, for d = 1 and d = 3 mod 4:
+# (2|a), times (-1|a) when d = 3 mod 4; zero at even a
+_CHI8D_MOD8 = {
+    1: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    3: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+}
+
+
+def _chi8d_residues(d: int, a: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """chi_{8d}(a) for an integer array a >= 0, with jac = jacobi_table(d).
+
+    For odd a, (8d|a) = (2|a)(d|a) = (2|a)(a|d)(-1)^{((d-1)/2)((a-1)/2)}
+    by quadratic reciprocity for the Jacobi symbol; even a give 0.
+    """
+    return _CHI8D_MOD8[d % 4][a % 8] * jac[a % d]
+
+
 def dirichlet_l_half(d: int) -> float:
     """Independent oracle for L(1/2, chi_{8d}): the Dirichlet series summed
     by residue classes mod q = 8d, with each class's tail handled by
-    partial summation in Euler-Maclaurin form (Hurwitz values at 1/2)."""
+    partial summation in Euler-Maclaurin form (Hurwitz values at 1/2).
+
+    chi_{8d} comes from the Jacobi table of d (arith.jacobi_table) by
+    reciprocity, not from the kronecker routine the AFE uses.  The odd
+    residues are walked in blocks of arith.SEGMENT, and one math.fsum
+    takes every class's term, so the memory is bounded by a block and
+    the result does not depend on the blocking.  Raises
+    WorkEstimateError for d > MAX_D_EXACT, before any work of size d.
+    """
+    if d > MAX_D_EXACT:
+        raise WorkEstimateError(
+            f"oracle guard: need d <= {MAX_D_EXACT}, got d = {d}")
     arith.check_2d_squarefree(d)
     q = 8 * d
-    chi = np.array([arith.kronecker(q, a) for a in range(q)], dtype=np.float64)
-    a = np.nonzero(chi)[0]
-    hz = _hurwitz_half(a / q)
-    return q**-0.5 * math.fsum((chi[a] * hz).tolist())
+    jac = arith.jacobi_table(d)
+
+    def blocks():
+        for lo in range(0, q, arith.SEGMENT):
+            a = np.arange(lo + 1, min(lo + arith.SEGMENT, q), 2)
+            chi = _chi8d_residues(d, a, jac)
+            live = chi != 0
+            yield (chi[live] * _hurwitz_half(a[live] / q)).tolist()
+
+    return q**-0.5 * math.fsum(itertools.chain.from_iterable(blocks()))

@@ -7,9 +7,15 @@ partial outputs.
 
 Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 work-estimate
 abort.  Config errors include a RESLAB_WORKERS that is not a positive
-integer and a ``ratio --checkpoint`` file that is not a scan checkpoint,
-belongs to another run, or disagrees with the recomputed chunks; each ends
-with one line on stderr, not a traceback.
+integer, an ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and
+squarefree, a ``ratio`` whose family holds no admissible d
+(charsums.EmptyFamilyError), a ``ratio --checkpoint`` whose directory does
+not exist, and a checkpoint file that is not a scan checkpoint, belongs to
+another run, or disagrees with the recomputed chunks.  Work-estimate
+aborts (charsums.WorkEstimateError) are a ``ratio`` past the scan's guards
+on D, support size and x, and an ``afe --d`` above charsums.MAX_D_EXACT,
+where the oracle would need O(d) memory and time.  Each ends with one line
+on stderr, not a traceback.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
 computes the report: the scan hands each chunk's rows to a sink here.
@@ -285,8 +291,10 @@ def cmd_afe(cfg: RunConfig, dvals: list[int]) -> int:
     rows = []
     worst = 0.0
     for d in dvals:
-        afe = charsums.afe_central_value(d)
+        # the oracle first: its work guard then stops a huge d before any
+        # O(sqrt(d) log d) work on the AFE side
         oracle = charsums.dirichlet_l_half(d)
+        afe = charsums.afe_central_value(d)
         gap = abs(afe.value - oracle)
         worst = max(worst, gap)
         rows.append({"d": d, "value": afe.value, "oracle": oracle,
@@ -463,7 +471,7 @@ def main(argv=None) -> int:
             return cmd_afe(cfg, args.d)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, resonator.ParamsError, arith.InvalidDiscriminant,
-            charsums.CheckpointError) as e:
+            charsums.CheckpointError, charsums.EmptyFamilyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except charsums.WorkEstimateError as e:

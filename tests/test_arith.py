@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reslab import arith
 
@@ -55,6 +55,30 @@ class TestKronecker:
         for n in (3, 9, 15, 35):
             for m in range(-50, 50):
                 assert arith.kronecker(m, n) == arith.kronecker(m + 8 * n, n)
+
+
+_ODD_PRIMES = [int(p) for p in arith.primes_up_to(400)[1:]]
+
+
+class TestJacobiTable:
+    @given(st.one_of(
+        st.sampled_from(_ODD_PRIMES),
+        st.builds(pow, st.sampled_from(_ODD_PRIMES[:6]), st.integers(2, 4)),
+        st.builds(lambda i: 2 * i + 1, st.integers(0, 1500)),
+    ))
+    @example(1)
+    @example(9)  # (m|3)^2: the prime's table enters with multiplicity
+    @example(3 * 3 * 5 * 7)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_kronecker(self, n):
+        tab = arith.jacobi_table(n)
+        assert tab.dtype == np.int8
+        assert tab.tolist() == [arith.kronecker(m, n) for m in range(n)]
+
+    @pytest.mark.parametrize("n", [0, -3, 4])
+    def test_rejects_even_or_nonpositive(self, n):
+        with pytest.raises(ValueError):
+            arith.jacobi_table(n)
 
 
 class TestChi8d:

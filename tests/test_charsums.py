@@ -5,8 +5,9 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reslab import arith, charsums, resonator, smoothing
 
@@ -336,6 +337,9 @@ class TestOrthogonality:
         assert abs(exact) < math.sqrt(1e4)
 
 
+_SQUAREFREE_ODD = [d for d in range(1, 600, 2) if arith.is_squarefree(d)]
+
+
 class TestCentralValue:
     def test_character_table_multiplicative(self):
         chi = charsums._chi8d_values(5, 200)
@@ -358,3 +362,25 @@ class TestCentralValue:
     def test_afe_rejects_bad_d(self):
         with pytest.raises(arith.InvalidDiscriminant):
             charsums.afe_central_value(9)
+
+    def test_frozen_near_1e5(self):
+        # values of the per-residue kronecker oracle and the per-n AFE loop,
+        # which the vectorized routes reproduce bit for bit
+        assert charsums.dirichlet_l_half(100003) == 5.387242243805604
+        assert charsums.afe_central_value(100003).value == 5.387242243805603
+
+    @given(st.sampled_from(_SQUAREFREE_ODD))
+    @example(1)
+    @example(5)    # prime, 1 mod 4
+    @example(7)    # prime, 3 mod 4
+    @example(105)  # composite, 1 mod 4
+    @example(15)   # composite, 3 mod 4
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_period_table_is_kronecker(self, d):
+        a = np.arange(8 * d)
+        chi = charsums._chi8d_residues(d, a, arith.jacobi_table(d))
+        assert chi.tolist() == [arith.kronecker(8 * d, int(r)) for r in a]
+
+    def test_oracle_work_guard(self):
+        with pytest.raises(charsums.WorkEstimateError):
+            charsums.dirichlet_l_half(charsums.MAX_D_EXACT + 1)

@@ -200,9 +200,11 @@ def _run_cli(args, cwd, workers="1"):
 
 class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
-                                      "checkpoint_not_json"])
+                                      "checkpoint_not_json", "empty_family",
+                                      "checkpoint_dir_missing"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         ck = tmp_path / "scan.ckpt"
+        cfg = small_cfg_path
         workers = "1"
         if case == "workers_not_int":
             workers = "abc"
@@ -212,9 +214,17 @@ class TestErrorPaths:
                              + f"outdir = {tmp_path / 'other'}\n")
             assert _run_cli(["--config", str(other), "ratio", "--checkpoint",
                              str(ck)], tmp_path).returncode == cli.EXIT_PASS
-        else:
+        elif case == "checkpoint_not_json":
             ck.write_text("{ not json\n")
-        proc = _run_cli(["--config", small_cfg_path, "ratio", "--checkpoint",
+        elif case == "empty_family":
+            # the family (1, 2] holds no odd d
+            empty = tmp_path / "empty.cfg"
+            empty.write_text(SMALL_CFG.replace("D = 200", "D = 2")
+                             + f"outdir = {tmp_path / 'out'}\n")
+            cfg = str(empty)
+        else:
+            ck = tmp_path / "nodir" / "scan.ckpt"
+        proc = _run_cli(["--config", cfg, "ratio", "--checkpoint",
                          str(ck)], tmp_path, workers=workers)
         assert proc.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in proc.stderr
@@ -222,6 +232,13 @@ class TestErrorPaths:
         outdir = cli.RunConfig.load(small_cfg_path).outdir
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv"))
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv.tmp"))
+
+    def test_oracle_guard_exit_three(self, tmp_path):
+        proc = _run_cli(["afe", "--d", str(charsums.MAX_D_EXACT + 1)], tmp_path)
+        assert proc.returncode == cli.EXIT_WORK
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not os.path.exists(tmp_path / "afe_report.json")
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
