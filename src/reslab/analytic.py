@@ -185,21 +185,75 @@ class FValue:
         return self.value
 
 
-def _smooth_sf(primes, limit: float | None = None):
-    """Squarefree products of the given primes (with 1), optionally <= limit."""
-    out = [1]
-    for p in primes:
-        ext = [n * p for n in out if limit is None or n * p <= limit]
-        out.extend(ext)
-    return sorted(out)
+@lru_cache(maxsize=8)
+def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
+                     m_max: int):
+    """The s-independent data of F_direct, keyed on all that fixes it: the
+    schedule (every beta_p), the band primes with r~(p), and both cutoffs.
+
+    Returns log l and r~(l) d(l)/sqrt(l) for the kept l; b(m, 1) for
+    m <= m_max; the distinct divisors e <= m_max of the kept l; the
+    (l, e) pairs with g(e); and prod(1 + 2|r~(p)|/sqrt(p)).
+    """
+    bfull = np.ones(m_max + 1)
+    for p in _odd_primes_to(m_max).tolist():
+        bfull[p::p] *= resonator.b_prime_factor(p, params)
+    ells = []
+    stack = [(0, 1, 1.0, ())]
+    while stack:
+        idx, ell, coef, ps = stack.pop()
+        ells.append((ell, coef * (2 ** len(ps)) / math.sqrt(ell), ps))
+        for i in range(idx, len(band)):
+            p, rt = band[i]
+            if ell * p <= ell_max:
+                stack.append((i + 1, ell * p, coef * rt, ps + (p,)))
+    # g(e) = prod_{p | e} (1/beta_p - 1) over the odd squarefree e | l
+    ginv = {p: 1.0 / resonator.b_prime_factor(p, params) - 1.0
+            for p, _ in band if p != 2}
+    index: dict[int, int] = {}
+    pair_ell, pair_e, pair_g = [], [], []
+    for i, (_, _, ps) in enumerate(ells):
+        divs = [(1, 1.0)]
+        for p in ps:
+            if p in ginv:
+                divs += [(e * p, g * ginv[p]) for e, g in divs if e * p <= m_max]
+        for e, g in divs:
+            pair_ell.append(i)
+            pair_e.append(index.setdefault(e, len(index)))
+            pair_g.append(g)
+    big = math.prod(1.0 + 2.0 * abs(rt) / math.sqrt(p) for p, rt in band)
+    return (np.log([e for e, _, _ in ells]), np.array([w for _, w, _ in ells]),
+            bfull, tuple(index), np.array(pair_ell), np.array(pair_e),
+            np.array(pair_g), big)
 
 
 def F_direct(s: complex, table: CoefficientTable,
              ell_max: float = 1e6, m_max: int = 20_000) -> FValue:
-    """The double sum, truncated, with an honest tail certificate:
+    """The double sum
+
+        F(s) = sum_l c_l l^{-s} sum_{m <= m_max} b(m, l) m^{-1-2s},
+        c_l = r~(l) d(l) / sqrt(l),
+
+    over squarefree band products l <= ell_max, with an honest tail
+    certificate:
 
         tail <= (sum_l kept |c_l| l^{-sigma}) * m_max^{-2 sigma} / (2 sigma)
               + ell_max^{-sigma} * prod(1 + 2 |r~(p)| / sqrt(p)).
+
+    The inner sums come from one divisor lattice.  With beta_p =
+    b_prime_factor(p), b(m, l) = b(m, 1) prod_{odd p | (m, l)} 1/beta_p, and
+    expanding that product over the divisors e of l gives
+
+        sum_m b(m, l) m^{-1-2s} = sum_{e | l} g(e) A(e),
+        g(e) = prod_{p | e} (1/beta_p - 1),
+        A(e) = sum_{e | m <= m_max} b(m, 1) m^{-1-2s}.
+
+    Every beta_p lies in (0, 1): its numerator (p/(p+1))(1 + r_-(p)^2) is
+    below its denominator 1 + r_-(p)^2 p/(p+1).  So g(e) > 0, and the
+    expansion adds positive multiples of the A(e), with no cancellation.
+    Only e <= m_max contribute.  The l list, the (l, e) pairs, g and
+    b(m, 1) do not depend on s and are built once per table and cutoffs;
+    each s then costs one strided sum per distinct e and one dot product.
 
     Usable only to the right of Re(s) = 0.05; the m-tail decays like
     m_max^{-2 sigma}, so do not expect miracles near the boundary.
@@ -208,42 +262,18 @@ def F_direct(s: complex, table: CoefficientTable,
     sigma = s.real
     if sigma < 0.05:
         raise AccuracyError(f"direct sum needs Re(s) >= 0.05, got {sigma}")
-    pm = sorted(table.pminus)
-    rt = {p: resonator.r_tilde(p, table) for p in pm}
-    beta = {p: resonator.b_prime_factor(p, table.params) for p in pm}
+    band = tuple((p, resonator.r_tilde(p, table)) for p in sorted(table.pminus))
+    (log_ell, weight, bfull, divisors, pair_ell, pair_e, pair_g,
+     big) = _divisor_lattice(table.params, band, float(ell_max), int(m_max))
+    mpow = np.zeros(bfull.size, dtype=complex)
+    mpow[1:] = np.arange(1, bfull.size, dtype=float) ** (-(1.0 + 2.0 * s))
+    bm = bfull * mpow
+    A = np.array([np.sum(bm[e::e]) for e in divisors])
+    c = weight * np.exp(-s * log_ell)
+    total = complex(np.dot(c[pair_ell] * pair_g, A[pair_e]))
 
-    # b(m, 1) for m <= m_max, then divide out band primes dividing ell
-    m = np.arange(m_max + 1, dtype=float)
-    bfull = np.ones(m_max + 1)
-    for p in _odd_primes_to(m_max).tolist():
-        bfull[p::p] *= (beta[p] if p in beta
-                        else resonator.b_prime_factor(p, table.params))
-    mpow = np.zeros(m_max + 1, dtype=complex)
-    mpow[1:] = m[1:] ** (-(1.0 + 2.0 * s))
-
-    total = 0.0 + 0.0j
-    abs_c = []
-    stack = [(0, 1, 1.0, ())]
-    while stack:
-        idx, ell, coef, ps = stack.pop()
-        c = coef * (2 ** len(ps)) / math.sqrt(ell) * ell ** (-s)
-        abs_c.append(abs(c))
-        bvec = bfull
-        if ps:
-            bvec = bfull.copy()
-            for p in ps:
-                bvec[p::p] /= beta[p]
-        total += c * complex(np.sum(bvec[1:] * mpow[1:]))
-        for i in range(idx, len(pm)):
-            p = pm[i]
-            if ell * p > ell_max:
-                continue
-            stack.append((i + 1, ell * p, coef * rt[p], ps + (p,)))
-
-    m_tail = math.fsum(abs_c) * m_max ** (-2 * sigma) / (2 * sigma)
-    big = 1.0
-    for p in pm:
-        big *= 1.0 + 2.0 * abs(rt[p]) / math.sqrt(p)
+    abs_c = np.abs(weight) * np.exp(-sigma * log_ell)
+    m_tail = math.fsum(abs_c.tolist()) * m_max ** (-2 * sigma) / (2 * sigma)
     ell_tail = ell_max ** (-sigma) * big
     return FValue(total, m_tail + ell_tail)
 

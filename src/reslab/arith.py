@@ -190,10 +190,6 @@ class FactoredInteger:
         if m != self.n or self.n < 1:
             raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
 
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredInteger":
-        return factorize(n)
-
     @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)

@@ -210,14 +210,6 @@ class PartialSumKernel:
         return math.fsum(terms)
 
 
-def S_star(y: float, kernel: PartialSumKernel) -> float:
-    return kernel.S_star(y)
-
-
-def S_tilde(y: float, kernel: PartialSumKernel, via: str = "psi") -> float:
-    return kernel.S_tilde(y, via=via)
-
-
 def derivative_bound_check(y: float, kernel: PartialSumKernel) -> tuple[float, float]:
     """(lhs, rhs) with lhs = |y dS/dy| and rhs = C_phi * S*(y)."""
     lhs = abs(kernel.y_dS(y))
@@ -767,8 +759,13 @@ def afe_central_value(d: int, v_weight=None) -> AfeValue:
     smoothing.afe_weight_V) is called once on the array of odd n with
     chi(n) != 0, and the terms are summed by math.fsum.  The reported
     tail bound majorizes the discarded terms by the integral of V along
-    the cutoff.
+    the cutoff.  Raises WorkEstimateError for d > MAX_D_EXACT before any
+    allocation: the character table holds sqrt(8d) log(8d) entries, 641 MiB
+    per int64 array at d = 10^12.
     """
+    if d > MAX_D_EXACT:
+        raise WorkEstimateError(
+            f"AFE guard: need d <= {MAX_D_EXACT}, got d = {d}")
     arith.check_2d_squarefree(d)
     V = v_weight or smoothing.afe_weight_V
     q = 8 * d

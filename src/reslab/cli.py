@@ -291,8 +291,8 @@ def cmd_afe(cfg: RunConfig, dvals: list[int]) -> int:
     rows = []
     worst = 0.0
     for d in dvals:
-        # the oracle first: its work guard then stops a huge d before any
-        # O(sqrt(d) log d) work on the AFE side
+        # the oracle first, so its residue blocks are freed before the
+        # AFE's tail quadrature loads scipy; both refuse d > MAX_D_EXACT
         oracle = charsums.dirichlet_l_half(d)
         afe = charsums.afe_central_value(d)
         gap = abs(afe.value - oracle)

@@ -51,13 +51,58 @@ class DirichletPolynomial:
         return sum(a * n ** (-1j * t) for n, a in self.terms)
 
 
+_GAUSS_MAX_NODES = 64
+
+
+def _composite_gauss(a: float, b: float, npan: int, order: int):
+    """Gauss-Legendre rule of `order` nodes on each of `npan` equal panels
+    of [a, b]."""
+    z, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, npan + 1)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    nodes = (0.5 * (hi - lo) * z[None, :] + 0.5 * (lo + hi)).ravel()
+    weights = (0.5 * (hi - lo) * np.broadcast_to(w, (npan, order))).ravel()
+    return nodes, weights
+
+
+def _gauss_order(c: float, target: float) -> int:
+    """Fewest Gauss-Legendre nodes k on [-1, 1] whose remainder bound
+    K_k c^{2k} is <= target, K_k = 2^{2k+1} (k!)^4 / ((2k+1) ((2k)!)^3)."""
+    if c == 0.0:
+        return 1
+    for k in range(1, _GAUSS_MAX_NODES + 1):
+        log_bound = ((2 * k + 1) * math.log(2.0) + 4.0 * math.lgamma(k + 1)
+                     - math.log(2 * k + 1) - 3.0 * math.lgamma(2 * k + 1)
+                     + 2 * k * math.log(c))
+        if log_bound <= math.log(target):
+            return k
+    raise AccuracyError(
+        f"{_GAUSS_MAX_NODES} Gauss nodes do not cover alpha * log(n_max/n_min)"
+        f" = {c:.3g} at target {target:.1e}")
+
+
 def lhs_integral(P: DirichletPolynomial, alpha: float,
                  accuracy: float = 1e-9) -> float:
     """int_{-alpha}^{alpha} |P(t)|^2 dt, twice over.
 
     Closed form: sum a_m conj(a_n) 2 sin(alpha log(m/n))/log(m/n), with the
-    diagonal reading 2 alpha |a_n|^2.  The quadrature route must agree
-    within `accuracy` (relative to the diagonal mass) or we refuse.
+    diagonal reading 2 alpha |a_n|^2.  The second route is a k-node
+    Gauss-Legendre rule on |P(t)|^2, with P summed directly at the nodes;
+    the two must agree within `accuracy` (relative to the diagonal mass)
+    or we refuse.
+
+    Node count: with t = alpha x, |P|^2 = sum a_m conj(a_n) e^{-i alpha x
+    log(m/n)} has 2k-th x-derivative at most (sum |a_n|)^2 c^{2k}, where
+    c = alpha log(n_max/n_min) is alpha times P's exponential type.  The
+    Gauss remainder is therefore at most
+
+        alpha (sum |a_n|)^2 K_k c^{2k},
+        K_k = 2^{2k+1} (k!)^4 / ((2k+1) ((2k)!)^3),
+
+    and k is the smallest count that puts this under half the allowed
+    disagreement.  When no k <= 64 does, the rule cannot certify the
+    integral and AccuracyError is raised.
     """
     if alpha <= 0:
         raise ValueError("need alpha > 0")
@@ -69,27 +114,25 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
     kern = np.where(lg == 0.0, 2.0 * alpha, 2.0 * np.sin(alpha * lg) / np.where(lg == 0, 1.0, lg))
     closed = float(np.real(a[None, :].conj() @ kern @ a[:, None])[0, 0])
 
-    from scipy.integrate import quad
-
-    quadval, _ = quad(lambda t: abs(P(t)) ** 2, -alpha, alpha, limit=200)
     scale = 2.0 * alpha * float(np.sum(np.abs(a) ** 2))
-    if abs(closed - quadval) > accuracy * max(scale, 1.0):
+    allowed = accuracy * max(scale, 1.0)
+    mass = float(np.sum(np.abs(a))) ** 2
+    k = _gauss_order(alpha * math.log(ns[-1] / ns[0]),
+                     0.5 * allowed / (alpha * mass) if mass else math.inf)
+    z, w = np.polynomial.legendre.leggauss(k)
+    pt = np.exp(-1j * alpha * z[:, None] * np.log(ns)[None, :]) @ a
+    gauss = alpha * float(np.dot(w, np.abs(pt) ** 2))
+    if abs(closed - gauss) > allowed:
         raise AccuracyError(
-            f"lhs routes disagree: closed {closed} vs quadrature {quadval}")
+            f"lhs routes disagree: closed {closed} vs Gauss rule {gauss}")
     return closed
 
 
 def _log_gauss_nodes(lo: float, hi: float, per_unit: int = 24, order: int = 8):
     """Gauss nodes in v = log y over [log lo, log hi]."""
-    z, w = np.polynomial.legendre.leggauss(order)
     a, b = math.log(lo), math.log(hi)
-    npan = max(4, int(math.ceil((b - a) * per_unit)))
-    edges = np.linspace(a, b, npan + 1)
-    lo_e = edges[:-1][:, None]
-    hi_e = edges[1:][:, None]
-    nodes = (0.5 * (hi_e - lo_e) * z[None, :] + 0.5 * (lo_e + hi_e)).ravel()
-    weights = (0.5 * (hi_e - lo_e) * np.broadcast_to(w, (npan, order))).ravel()
-    return nodes, weights
+    return _composite_gauss(a, b, max(4, int(math.ceil((b - a) * per_unit))),
+                            order)
 
 
 def rhs_integral(P: DirichletPolynomial, sigma: float,
@@ -124,12 +167,7 @@ def f_sigma(u, sigma: float):
 @lru_cache(maxsize=16)
 def _f_nodes(sigma: float, npan: int = 48, order: int = 12):
     """Composite Gauss nodes over [-C, 0] with f_sigma pre-evaluated."""
-    z, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-SUPPORT_C, 0.0, npan + 1)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    u = (0.5 * (b - a) * z[None, :] + 0.5 * (a + b)).ravel()
-    wt = (0.5 * (b - a) * np.broadcast_to(w, (npan, order))).ravel()
+    u, wt = _composite_gauss(-SUPPORT_C, 0.0, npan, order)
     return u, wt, f_sigma(u, sigma)
 
 
@@ -174,37 +212,36 @@ class AutocorrReport:
     h_at_zero: float
 
 
-def autocorrelation_sigma(x: float, sigma: float) -> float:
-    """H_sigma(x) = int f_sigma(u) f_sigma(u + x) du (real f, no conjugate)."""
-    lo = max(-SUPPORT_C, -SUPPORT_C - x)
-    hi = min(0.0, -x)
-    if lo >= hi:
-        return 0.0
-    from scipy.integrate import quad
+def autocorrelation_sigma(x, sigma: float):
+    """H_sigma(x) = int f_sigma(u) f_sigma(u + x) du (real f, no conjugate),
+    at one lag x or at an array of lags.
 
-    val, _ = quad(lambda u: f_sigma(u, sigma) * f_sigma(u + x, sigma),
-                  lo, hi, epsabs=1e-12, limit=200)
-    return val
+    The integrand lives on [max(-C, -C - x), min(0, -x)].  One composite
+    Gauss rule (48 panels of 12 nodes) is mapped onto each lag's interval,
+    so all lags are evaluated in one array operation.
+    """
+    xa = np.asarray(x, dtype=float)
+    lo = np.maximum(-SUPPORT_C, -SUPPORT_C - xa)
+    width = np.maximum(np.minimum(0.0, -xa) - lo, 0.0)
+    z, w = _composite_gauss(0.0, 1.0, 48, 12)
+    u = lo[..., None] + width[..., None] * z
+    vals = f_sigma(u, sigma) * f_sigma(u + xa[..., None], sigma)
+    out = (vals @ w) * width
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=16)
 def _h_nodes(sigma: float, npan: int = 96, order: int = 12):
     """Gauss nodes over [-C, C] with the autocorrelation pre-evaluated."""
-    z, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-SUPPORT_C, SUPPORT_C, npan + 1)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    x = (0.5 * (b - a) * z[None, :] + 0.5 * (a + b)).ravel()
-    wt = (0.5 * (b - a) * np.broadcast_to(w, (npan, order))).ravel()
-    h = np.array([autocorrelation_sigma(float(v), sigma) for v in x])
-    return x, wt, h
+    x, wt = _composite_gauss(-SUPPORT_C, SUPPORT_C, npan, order)
+    return x, wt, autocorrelation_sigma(x, sigma)
 
 
 def autocorrelation_identity_check(sigma: float = 0.0,
                                    xigrid=None) -> AutocorrReport:
     """Numerical check of H_hat = |f_hat|^2 plus Parseval at x = 0.
 
-    H is built by direct quadrature of the lag integral; its transform and
+    H is built by direct quadrature of each lag integral; its transform and
     |f_hat|^2 come from separate node sets, so agreement is meaningful.
     """
     if xigrid is None:

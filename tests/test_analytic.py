@@ -5,8 +5,9 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reslab import analytic, resonator, smoothing
+from reslab import analytic, arith, resonator, smoothing
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,41 @@ def empty_band_table():
         10**6, mode="explicit", L=math.e, x=30.0, B=30.0, Z=150.0,
         pminus_lo=10.0, pminus_hi=10.5)
     return resonator.build_table(params)
+
+
+@pytest.fixture(scope="module")
+def three_prime_l3_table():
+    """The three-prime band {11, 13, 17} at L = 3: same primes, other r~ and
+    beta, so a cache keyed on the band primes alone would mix it up."""
+    params = resonator.build_params(
+        10**6, mode="explicit", L=3.0, x=30.0, B=30.0, Z=150.0,
+        pminus_lo=10.0, pminus_hi=18.0)
+    return resonator.build_table(params)
+
+
+def _literal_F(s, table, ell_max, m_max):
+    """F_direct's truncated double sum term by term, with b(m, l) from
+    resonator.b_weight and c_l = r~(l) d(l) l^{-1/2-s}; returns the value
+    and the certificate of F_direct's docstring."""
+    sigma = s.real
+    rt = {p: resonator.r_tilde(p, table) for p in table.pminus}
+    ells = [1]
+    for p in sorted(table.pminus):
+        ells += [ell * p for ell in ells if ell * p <= ell_max]
+    ms = [arith.factorize(m) for m in range(1, m_max + 1)]
+    total = 0j
+    abs_c = []
+    for ell in ells:
+        lf = arith.factorize(ell)
+        c = (math.prod(rt[p] for p in lf.primes) * arith.divisor_count(lf)
+             * ell ** (-0.5 - s))
+        abs_c.append(abs(c))
+        total += c * sum(resonator.b_weight(mf, lf, table) * mf.n ** (-1 - 2 * s)
+                         for mf in ms)
+    big = math.prod(1.0 + 2.0 * abs(r) / math.sqrt(p) for p, r in rt.items())
+    tail = (math.fsum(abs_c) * m_max ** (-2 * sigma) / (2 * sigma)
+            + ell_max ** -sigma * big)
+    return total, tail
 
 
 class TestZeta:
@@ -112,6 +148,24 @@ class TestFactorization:
         fd = analytic.F_direct(s, desk_table)
         fb, cert = analytic.F_factored_bounded(s, desk_table)
         assert abs(fd.value - fb) <= fd.tail + cert + 1e-6
+
+    @given(which=st.sampled_from(("small", "three", "three_l3")),
+           sigma=st.floats(0.05, 2.0), t=st.floats(-30.0, 30.0),
+           ell_max=st.floats(1.0, 5e4), m_max=st.integers(1, 300))
+    # cutoffs that land exactly on l = 143 = 11 * 13 and on e = 143
+    @example(which="small", sigma=0.5, t=1.0, ell_max=143.0, m_max=143)
+    @example(which="three_l3", sigma=0.05, t=0.0, ell_max=5e4, m_max=1)
+    @settings(max_examples=60, deadline=None)
+    def test_direct_equals_literal_double_sum(
+            self, small_table, three_prime_table, three_prime_l3_table,
+            which, sigma, t, ell_max, m_max):
+        table = {"small": small_table, "three": three_prime_table,
+                 "three_l3": three_prime_l3_table}[which]
+        s = complex(sigma, t)
+        fd = analytic.F_direct(s, table, ell_max=ell_max, m_max=m_max)
+        value, tail = _literal_F(s, table, ell_max, m_max)
+        assert abs(fd.value - value) <= 1e-12 * abs(value)
+        assert fd.tail == pytest.approx(tail, rel=1e-12)
 
     def test_schwarz_reflection(self, desk_table):
         s = 0.6 + 2.5j

@@ -384,3 +384,10 @@ class TestCentralValue:
     def test_oracle_work_guard(self):
         with pytest.raises(charsums.WorkEstimateError):
             charsums.dirichlet_l_half(charsums.MAX_D_EXACT + 1)
+
+    def test_afe_work_guard(self):
+        # raised before the O(sqrt(d) log d) character table is allocated;
+        # at d = 10^12 + 39 that table would take 641 MiB per int64 array
+        for d in (charsums.MAX_D_EXACT + 1, 1_000_000_000_039):
+            with pytest.raises(charsums.WorkEstimateError):
+                charsums.afe_central_value(d)

@@ -241,15 +241,35 @@ class TestErrorPaths:
         assert not os.path.exists(tmp_path / "afe_report.json")
 
 
+DESK_CFG = f"""\
+# the D = 10^6 exhibit schedule
+mode = explicit
+D = 1000000
+L = 2
+x = 200
+B = 200
+Z = {200.0 ** 1.5!r}
+outdir = out
+"""
+
+
 def test_cli_import_leaves_scipy_out(tmp_path):
-    # the ratio path needs numpy only; scipy is imported where it is used
-    code = ("import sys, reslab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the ratio path and the factorization and gallagher suites need numpy
+    # only; scipy is imported inside the functions that use it
+    (tmp_path / "run.cfg").write_text(DESK_CFG)
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for run in ("", "reslab.cli.main(['--config', 'run.cfg', 'verify', "
+                    "'factorization'])",
+                "reslab.cli.main(['--config', 'run.cfg', 'verify', "
+                "'gallagher'])"):
+        code = f"import sys, reslab.cli\n{run}\n{report}"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", run
+        if run:
+            assert proc.stdout.startswith("PASS"), proc.stdout
 
 
 class TestScanCommand:

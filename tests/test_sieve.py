@@ -46,6 +46,19 @@ class TestLhsIntegral:
                              epsabs=1e-12, limit=200)
             assert closed == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("c", (0.1, 1.0, 5.0, 20.0, 60.0))
+    @pytest.mark.parametrize("target", (1e-9, 1e-13))
+    def test_node_count_bound_holds(self, c, target):
+        # the chosen rule integrates cos(c x) over [-1, 1] within target
+        z, w = np.polynomial.legendre.leggauss(sieve._gauss_order(c, target))
+        assert abs(np.dot(w, np.cos(c * z)) - 2 * math.sin(c) / c) <= target
+
+    def test_refuses_beyond_node_count_bound(self):
+        # alpha log(n_max/n_min) = 100 log 5000 is past what 64 nodes cover
+        P = sieve.DirichletPolynomial.from_pairs([(2, 1.0), (10_000, 1.0)])
+        with pytest.raises(sieve.AccuracyError):
+            sieve.lhs_integral(P, 100.0)
+
     def test_rejects_nonpositive_alpha(self):
         P = sieve.DirichletPolynomial.from_pairs([(2, 1.0)])
         with pytest.raises(ValueError):
@@ -139,6 +152,20 @@ class TestAutocorrelation:
         for x in (0.1, 0.5, 1.0):
             assert sieve.autocorrelation_sigma(x, 0.25) == pytest.approx(
                 sieve.autocorrelation_sigma(-x, 0.25), rel=1e-10)
+
+    def test_lags_match_adaptive_quadrature(self):
+        for sigma in (0.0, 0.25, -0.45):
+            lags = np.array([-1.2, -0.25, 0.0, 0.2, 0.9, 1.35])
+            got = sieve.autocorrelation_sigma(lags, sigma)
+            for x, h in zip(lags, got):
+                want, _ = quad(lambda u: sieve.f_sigma(u, sigma)
+                               * sieve.f_sigma(u + x, sigma),
+                               max(-sieve.SUPPORT_C, -sieve.SUPPORT_C - x),
+                               min(0.0, -x), epsabs=1e-14, epsrel=1e-14,
+                               limit=1000)
+                assert h == pytest.approx(want, abs=1e-13)
+                assert sieve.autocorrelation_sigma(float(x), sigma) == \
+                    pytest.approx(h, rel=1e-14)
 
     def test_h_vanishes_off_support(self):
         assert sieve.autocorrelation_sigma(sieve.SUPPORT_C + 0.01, 0.0) == 0.0
