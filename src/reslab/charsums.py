@@ -20,9 +20,10 @@ is completely multiplicative.  Each chunk reduces its weights to floats
 whose exact sum is the chunk's exact sum (repeated math.fsum); one fsum
 over every chunk's parts then gives the correctly rounded Den and Num, so
 results are bit-identical for any worker count and any chunk size.  An
-optional sink receives every chunk's rows (d, T(d), R(d)^2) in chunk
-order, which is how the CLI writes the family CSV from the same pass.
-Checkpoints are keyed on everything that determines a chunk.
+optional sink receives every chunk's rows (d, T(d), R(d)^2) as CSV line
+bytes, formatted in the process that computed the chunk and handed over in
+chunk order, which is how the CLI writes the family CSV from the same
+pass.  Checkpoints are keyed on everything that determines a chunk.
 """
 
 from __future__ import annotations
@@ -428,14 +429,25 @@ def _exact_parts(xs: list) -> list:
             return parts
 
 
+FAMILY_CSV_HEADER = b"d,truncated_sum,weight\r\n"
+
+
+def _csv_lines(d, t, w) -> bytes:
+    """The rows as CSV lines "d,repr(T),repr(R^2)\r\n" under
+    FAMILY_CSV_HEADER, what csv.writer would write (ints and repr floats
+    never need quoting)."""
+    return "".join([f"{di},{ti!r},{wi!r}\r\n" for di, ti, wi
+                    in zip(d.tolist(), t.tolist(), w.tolist())]).encode()
+
+
 def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
     """Summary [Den parts, Num parts, min T over positive weight, its d,
-    admissible count] of the chunk [lo, hi], and its rows (d, T, R^2) when
-    keep_rows; deterministic for fixed bounds."""
+    admissible count] of the chunk [lo, hi], and its rows as CSV line bytes
+    when keep_rows; deterministic for fixed bounds."""
     d, w, t = _chunk_arrays(*bounds, state)
-    rows = (d, t, w) if keep_rows else None
+    lines = _csv_lines(d, t, w) if keep_rows else None
     if d.size == 0:
-        return [[], [], math.inf, -1, 0], rows
+        return [[], [], math.inf, -1, 0], lines
     denom = _exact_parts(w.tolist())
     numer = _exact_parts((w * t).tolist())
     pos = w > 0
@@ -445,7 +457,7 @@ def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
         mval, md = float(t[i]), int(d[i])
     else:
         mval, md = math.inf, -1
-    return [denom, numer, mval, md, int(d.size)], rows
+    return [denom, numer, mval, md, int(d.size)], lines
 
 
 _WORKER_STATE = None
@@ -517,9 +529,12 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     checkpoint file (JSON, keyed on the run's digest) lets an interrupted
     run resume; its directory must exist before the scan starts.
 
-    An optional ``sink(d, t, w)`` receives every chunk's rows, the arrays
-    of admissible d with T(d) and R(d)^2, in chunk-index order, from the
-    calling process.  Because it needs every row, chunks restored from a
+    An optional ``sink(lines)`` receives every chunk's rows as one bytes
+    object of CSV lines ``d,repr(T(d)),repr(R(d)^2)\r\n``, one line per
+    admissible d in increasing order (empty for a chunk without one).  The
+    process that computes a chunk, a pool worker or the caller, formats
+    its lines; the sink is called in chunk-index order, from the calling
+    process.  Because it needs every row, chunks restored from a
     checkpoint are computed again, and each must reproduce its stored
     summary exactly or CheckpointError is raised.
     """
@@ -550,7 +565,7 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     keep_rows = sink is not None
     todo = [i for i in range(len(bounds)) if keep_rows or i not in done]
 
-    def record(i, summary, rows):
+    def record(i, summary, lines):
         if i in done:
             if done[i] != summary:
                 raise CheckpointError(
@@ -564,7 +579,7 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
                     json.dump({"digest": digest, "chunks": done}, fh)
                 os.replace(tmp, checkpoint)
         if keep_rows:
-            sink(*rows)
+            sink(lines)
 
     workers = workers if workers is not None else default_workers()
     if workers > 1 and len(todo) > 1:
@@ -667,7 +682,7 @@ def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
     exact weighted-average pigeonhole  min <= Num/Den.  ``sink`` receives
-    the family's rows as in scan_family."""
+    the family's CSV lines as in scan_family."""
     scan = scan_family(params, table, test_fn=test_fn, workers=workers,
                        checkpoint=checkpoint, sink=sink)
     if scan.denom <= 0.0 or scan.min_d < 0:

@@ -18,7 +18,9 @@ where the oracle would need O(d) memory and time.  Each ends with one line
 on stderr, not a traceback.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
-computes the report: the scan hands each chunk's rows to a sink here.
+computes the report: the process that scans a chunk also formats its CSV
+lines, and the scan hands each chunk's line bytes, in chunk order, to a
+sink here that only writes them.
 
 Reports are deterministic: the canonical serialization excludes timing, and
 all family reductions happen in fixed chunk order, so identical configs
@@ -223,22 +225,16 @@ def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
 @contextlib.contextmanager
 def _family_csv(outdir: str):
     """A scan sink that streams the rows d, T(d), R(d)^2 to
-    family_sums.csv.  The rows go to a temp file, renamed into place only
-    when the scan completes.  Lines are what csv.writer would write (the
-    fields never need quoting: ints and repr floats), built directly
-    because that is twice as fast."""
+    family_sums.csv.  The scan hands over each chunk's CSV lines already
+    formatted, so the sink writes bytes; they go to a temp file, renamed
+    into place only when the scan completes."""
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "family_sums.csv")
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write("d,truncated_sum,weight\r\n")
-
-            def sink(d, t, w):
-                fh.write("".join([f"{di},{ti!r},{wi!r}\r\n" for di, ti, wi
-                                  in zip(d.tolist(), t.tolist(), w.tolist())]))
-
-            yield sink
+        with open(tmp, "wb") as fh:
+            fh.write(charsums.FAMILY_CSV_HEADER)
+            yield fh.write
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -171,12 +171,28 @@ def _f_nodes(sigma: float, npan: int = 48, order: int = 12):
     return u, wt, f_sigma(u, sigma)
 
 
+_FOURIER_ROWS = 1024  # frequencies per block: 1024 x 1152 nodes is 19 MB
+
+
+def _fourier_sum(xi: np.ndarray, u: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """sum_k wv_k e^{-2 pi i xi u_k} for each frequency in xi.
+
+    The frequencies go in near-equal blocks of at most _FOURIER_ROWS, so
+    memory does not grow with their number.  No block of a longer xi has a
+    single row, which BLAS would reduce in another order: each value is the
+    one the whole matrix-vector product gives.
+    """
+    blocks = np.array_split(xi, max(1, -(-xi.size // _FOURIER_ROWS)))
+    return np.concatenate([np.exp(-2j * math.pi * b[:, None] * u[None, :]) @ wv
+                           for b in blocks])
+
+
 def fhat_sigma(xi, sigma: float):
     """Fourier transform int f_sigma(u) e^{-2 pi i xi u} du over [-C, 0];
     accepts a scalar or an array of frequencies."""
     u, wt, fv = _f_nodes(float(sigma))
     xia = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.exp(-2j * math.pi * xia[:, None] * u[None, :]) @ (wt * fv)
+    out = _fourier_sum(xia, u, wt * fv)
     return complex(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 
@@ -248,7 +264,7 @@ def autocorrelation_identity_check(sigma: float = 0.0,
         xigrid = np.linspace(-2.0, 2.0, 21)
     x, wt, h = _h_nodes(float(sigma))
     xia = np.asarray(xigrid, dtype=float)
-    hhat = np.exp(-2j * math.pi * xia[:, None] * x[None, :]) @ (wt * h)
+    hhat = _fourier_sum(xia, x, wt * h)
     fh = fhat_sigma(xia, sigma)
     gaps = np.abs(hhat - np.abs(fh) ** 2)
     h0 = autocorrelation_sigma(0.0, sigma)

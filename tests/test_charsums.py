@@ -4,12 +4,26 @@ orthogonality, and the smoothed central-value formula."""
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reslab import arith, charsums, resonator, smoothing
+
+
+def _parse_csv_lines(chunks):
+    """Rows (d, T, R^2) of a scan sink's CSV line bytes, parsed with int
+    and float; every line ends in CRLF."""
+    text = b"".join(chunks).decode()
+    assert text == "" or text.endswith("\r\n")
+    rows = []
+    for line in text.split("\r\n")[:-1]:
+        d, t, w = line.split(",")
+        rows.append((int(d), float(t), float(w)))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -209,15 +223,15 @@ class TestFamilyScan:
     def test_sink_rows_survive_resume(self, small_params, small_table,
                                       tmp_path):
         def scan(ck):
-            rows = []
+            lines = []
             out = charsums.scan_family(
                 small_params, small_table, workers=1, chunk_size=16,
-                checkpoint=ck, sink=lambda *r: rows.append(
-                    [a.tolist() for a in r]))
-            return out, rows
+                checkpoint=ck, sink=lines.append)
+            return out, lines
 
         ck = str(tmp_path / "scan.json")
         first = scan(ck)
+        assert len(_parse_csv_lines(first[1])) == first[0].admissible
         with open(ck) as fh:
             saved = json.load(fh)
         saved["chunks"] = dict(list(saved["chunks"].items())[::2])
@@ -236,11 +250,11 @@ class TestFamilyScan:
     def test_sink_rows_match_per_d_routes(self, small_params, small_table,
                                           D, chunk_size):
         params = dataclasses.replace(small_params, D=D)
-        rows = []
+        lines = []
         scan = charsums.scan_family(
             params, small_table, workers=1, chunk_size=chunk_size,
-            sink=lambda d, t, w: rows.extend(
-                zip(d.tolist(), t.tolist(), w.tolist())))
+            sink=lines.append)
+        rows = _parse_csv_lines(lines)
         admissible = [d for d in range(D // 2 + 1, D + 1)
                       if d % 2 == 1 and arith.is_squarefree(d)]
         assert [d for d, _, _ in rows] == admissible
@@ -249,11 +263,52 @@ class TestFamilyScan:
                                       rel=1e-12)
             assert w == pytest.approx(charsums.big_R(d, small_table) ** 2,
                                       rel=1e-12)
+        # the text is exact: every field reads back as the scan's float,
+        # bit for bit, so no rounding format can pass
+        state = charsums._scan_state(params, small_table,
+                                     smoothing.canonical_phi())
+        d, w, t = charsums._chunk_arrays(D // 2 + 1, D, state)
+        assert [r[0] for r in rows] == d.tolist()
+        for col, arr in ((1, t), (2, w)):
+            parsed = np.array([r[col] for r in rows], dtype=float)
+            assert np.array_equal(parsed.view(np.uint64), arr.view(np.uint64))
         whole = charsums.scan_family(params, small_table, workers=1,
                                      chunk_size=D)
         assert whole.chunk_count == 1
         assert scan == dataclasses.replace(whole,
                                            chunk_count=scan.chunk_count)
+
+    @settings(max_examples=12, deadline=None)
+    @given(workers=st.sampled_from([1, 2]), chunk_size=st.integers(1, 60),
+           keep=st.integers(0, 2**64 - 1))
+    def test_sink_and_scan_survive_any_interruption(
+            self, small_params, small_table, workers, chunk_size, keep):
+        # a checkpoint holding any subset of the chunks (bit i of keep
+        # keeps chunk i), resumed at either worker count, gives the bytes
+        # and the summary of one chunk scanned at one worker
+        def scan(**kw):
+            lines = []
+            out = charsums.scan_family(small_params, small_table,
+                                       sink=lines.append, **kw)
+            assert all(isinstance(b, bytes) for b in lines)
+            return out, b"".join(lines)
+
+        one, one_bytes = scan(workers=1, chunk_size=int(small_params.D))
+        assert one.chunk_count == 1
+        with tempfile.TemporaryDirectory() as tmp:
+            ck = os.path.join(tmp, "scan.json")
+            charsums.scan_family(small_params, small_table, workers=1,
+                                 chunk_size=chunk_size, checkpoint=ck)
+            with open(ck) as fh:
+                saved = json.load(fh)
+            saved["chunks"] = {i: c for i, c in saved["chunks"].items()
+                               if keep >> int(i) & 1}
+            with open(ck, "w") as fh:
+                json.dump(saved, fh)
+            got, got_bytes = scan(workers=workers, chunk_size=chunk_size,
+                                  checkpoint=ck)
+        assert got_bytes == one_bytes
+        assert got == dataclasses.replace(one, chunk_count=got.chunk_count)
 
     def test_work_guards(self, small_params, small_table):
         huge = dataclasses.replace(small_params, D=charsums.MAX_D_EXACT + 1)

@@ -151,7 +151,10 @@ class TestRatioCommand:
         for w in ("1", "2"):
             outdir = tmp_path / f"out{w}"
             cfgp = tmp_path / f"run{w}.cfg"
-            cfgp.write_text(SMALL_CFG + f"outdir = {outdir}\n")
+            # D = 3e5 gives two chunks of the default size, so at 2 workers
+            # the pool runs and its workers format the CSV lines
+            cfgp.write_text(SMALL_CFG.replace("D = 200", "D = 300000")
+                            + f"outdir = {outdir}\n")
             monkeypatch.setenv("RESLAB_WORKERS", w)
             assert cli.main(["--config", str(cfgp), "ratio"]) == cli.EXIT_PASS
             reports[w] = (

@@ -125,6 +125,14 @@ class TestTestFunctionFamily:
             assert complex(v) == pytest.approx(
                 complex(sieve.fhat_sigma(float(x), 0.25)), rel=1e-13)
 
+    def test_fhat_blocks_match_one_product(self):
+        # more frequencies than one block holds, split with no 1-row tail:
+        # every value equals the unblocked matrix-vector product's
+        u, wt, fv = sieve._f_nodes(0.0)
+        xi = np.linspace(-40.0, 40.0, 2 * sieve._FOURIER_ROWS + 1)
+        whole = np.exp(-2j * math.pi * xi[:, None] * u[None, :]) @ (wt * fv)
+        assert np.array_equal(sieve.fhat_sigma(xi, 0.0), whole)
+
 
 class TestAdmissibleAlpha:
     def test_frozen_values(self):
