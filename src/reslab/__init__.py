@@ -57,8 +57,7 @@ from .charsums import (
 )
 from .analytic import (
     F_direct,
-    F_factored,
-    G_of_s,
+    F_factored_bounded,
     H_of_s,
     S_via_contour,
     TRIG_MIN,
@@ -67,7 +66,7 @@ from .analytic import (
     sigma2_bound_check,
     trig_product,
     verify_rankin_truncations,
-    zeta,
+    zeta_em,
 )
 from .sieve import (
     DirichletPolynomial,

@@ -7,9 +7,16 @@ The double sum behind the diagonal remainder has the Euler product
 
 with G a tame product (band factors times generic odd-prime factors) whose
 logarithm stays bounded to the right of Re(s) = -1/4.  This module carries
-both routes to F — the truncated double sum and the factored product — plus
-the inverse-Mellin contour evaluation of S(y), the Rankin-style truncation
-checks, and the resonance-gain / contour-shift diagnostic reports.
+both routes to F — the truncated double sum F_direct and the factored
+product F_factored_bounded — plus the inverse-Mellin contour evaluation of
+S(y), the Rankin-style truncation checks, and the resonance-gain /
+contour-shift diagnostic reports.
+
+F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
+scalar or an array of s, builds zeta from zeta_em (the one Euler-Maclaurin
+routine) and H from H_of_s, and returns a certificate per node.  The
+contour, the shift check and the resonance report all call it, each with
+the truncation point its own accuracy needs.
 
 Every truncated quantity comes with an explicit tail certificate; agreement
 tests compare gaps against combined certificates, never against wishes.
@@ -17,7 +24,6 @@ tests compare gaps against combined certificates, never against wishes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,77 +46,54 @@ class VanishingFactor(ZeroDivisionError):
 # --------------------------------------------------------------------------
 
 # B_2, B_4, ..., B_24 as exact rationals
-_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-        -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
-        -236364091 / 2730)
+BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                -236364091 / 2730)
 
 
-def zeta_em(s: complex, N: int = 50, K: int = 10) -> tuple[complex, float]:
-    """(zeta(s), remainder bound) by Euler-Maclaurin with K Bernoulli terms.
+def zeta_em(s, N: int = 50, K: int = 10):
+    """(zeta(s), remainder bound) by Euler-Maclaurin with K Bernoulli terms,
+    for a scalar s or elementwise over an array of s.
 
     The remainder is at most |first omitted term| * |s + 2K + 1| / (sigma +
     2K + 1), valid for sigma = Re(s) > -2K.
     """
-    s = complex(s)
-    if s == 1:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s == 1):
         raise ZeroDivisionError("pole of zeta at s = 1")
-    if s.real <= -2 * K + 1:
-        raise AccuracyError(f"Re(s) = {s.real} too far left for K = {K}")
-    out = sum(n ** -s for n in range(1, N))
-    out += N ** (1 - s) / (s - 1) + 0.5 * N ** -s
+    if np.any(s.real <= -2 * K + 1):
+        raise AccuracyError(f"Re(s) = {s.real.min()} too far left for K = {K}")
+    n = np.arange(1, N, dtype=float).reshape((-1,) + (1,) * s.ndim)
+    out = np.sum(n ** -s, axis=0) + N ** (1 - s) / (s - 1) + 0.5 * N ** -s
     poch = s
     fact = 1.0
     for j in range(1, K + 1):
         fact *= (2 * j - 1) * (2 * j)
-        out += _B2K[j - 1] / fact * poch * N ** (-s - 2 * j + 1)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    fact *= (2 * K + 1) * (2 * K + 2)
-    first_omitted = abs(_B2K[K] / fact * poch) * N ** (-s.real - 2 * K - 1)
-    bound = first_omitted * abs(s + 2 * K + 1) / (s.real + 2 * K + 1)
-    return out, bound
-
-
-def zeta(s: complex, accuracy: float = 1e-10) -> complex:
-    """zeta(s) certified to `accuracy`; raises if the certificate fails."""
-    for N in (50, 200, 1000):
-        val, bound = zeta_em(s, N=N)
-        if bound <= accuracy:
-            return val
-    raise AccuracyError(
-        f"zeta remainder {bound:.3e} > {accuracy:.3e} at s = {s}")
-
-
-def zeta_em_vec(s: np.ndarray, N: int = 50, K: int = 10):
-    """Vectorized Euler-Maclaurin over an array of complex s."""
-    s = np.asarray(s, dtype=complex)
-    n = np.arange(1, N, dtype=float)[:, None]
-    out = np.sum(n ** -s[None, :], axis=0)
-    out += N ** (1 - s) / (s - 1) + 0.5 * N ** (-s.astype(complex))
-    poch = s.copy()
-    fact = 1.0
-    for j in range(1, K + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        out += _B2K[j - 1] / fact * poch * N ** (-s - 2 * j + 1)
+        out = out + BERNOULLI_2K[j - 1] / fact * poch * N ** (-s - 2 * j + 1)
         poch = poch * (s + 2 * j - 1) * (s + 2 * j)
     fact *= (2 * K + 1) * (2 * K + 2)
-    bounds = (np.abs(_B2K[K] / fact * poch) * N ** (-s.real - 2 * K - 1)
-              * np.abs(s + 2 * K + 1) / (s.real + 2 * K + 1))
-    return out, bounds
+    bound = (np.abs(BERNOULLI_2K[K] / fact * poch) * N ** (-s.real - 2 * K - 1)
+             * np.abs(s + 2 * K + 1) / (s.real + 2 * K + 1))
+    if s.ndim == 0:
+        return complex(out), float(bound)
+    return out, bound
 
 
 # --------------------------------------------------------------------------
 # the factored series
 # --------------------------------------------------------------------------
 
-def H_of_s(s: complex, table: CoefficientTable) -> complex:
-    """Finite low-band product prod (1 + 2 r~(p) p^{-1/2-s})."""
-    out = 1.0 + 0.0j
+def H_of_s(s, table: CoefficientTable):
+    """Finite low-band product prod (1 + 2 r~(p) p^{-1/2-s}), for a scalar s
+    or elementwise over an array of s."""
+    s = np.asarray(s, dtype=complex)
+    out = np.ones(s.shape, dtype=complex)
     for p in table.pminus:
         f = 1.0 + 2.0 * resonator.r_tilde(p, table) * p ** (-0.5 - s)
-        if f == 0:
+        if np.any(f == 0):
             raise VanishingFactor(p)
-        out *= f
-    return out
+        out = out * f
+    return complex(out) if s.ndim == 0 else out
 
 
 @lru_cache(maxsize=8)
@@ -137,43 +120,58 @@ def _g_tail_pmax(sigma: float, accuracy: float,
     return max(int(pmax) + 1, 100)
 
 
-def _g_generic_log(s, primes: np.ndarray) -> complex:
-    """Sum of log(1 - 1/((p+1) p^{2s+1})) over the given odd primes."""
-    total = 0.0 + 0.0j
-    p = primes.astype(float)
-    for i in range(0, p.size, 4096):
-        q = p[i:i + 4096]
-        total += complex(np.sum(np.log(1.0 - 1.0 / ((q + 1.0) * q ** (2 * s + 1)))))
-    return total
+# complex elements per block of the generic-prime sum: each temporary of a
+# block is 4 MiB, whatever the number of nodes
+_BLOCK = 1 << 18
 
 
-def G_of_s(s: complex, table: CoefficientTable,
-           accuracy: float = 1e-8) -> complex:
-    """The compensating product
+def F_factored_bounded(s, table: CoefficientTable, pmax: int = 200_000):
+    """zeta(2s+1) G(s) H(s) for a scalar s or elementwise over an array of
+    s, with G the compensating product
 
         prod_{band p} (1 - p^{-2s-2} / (((p+1)/p + r(p)^2)(1 + 2 r~(p) p^{-1/2-s})))
-        * prod_{odd p outside the band} (1 - 1/((p+1) p^{2s+1})),
+        * prod_{odd p <= pmax outside the band} (1 - 1/((p+1) p^{2s+1})).
 
-    the infinite part truncated with a certified tail <= accuracy.
+    Returns the value and an absolute certificate per node.  Truncating the
+    generic product at pmax moves log G by at most tail = 2 pmax^{-2 sigma
+    - 1} / (2 sigma + 1) (the bound _g_tail_pmax inverts), and zeta carries
+    zeta_em's remainder zb, so the certificate is
+
+        |zeta G H| (e^tail - 1) + zb |G H| e^tail.
+
+    Raises AccuracyError for Re(s) <= -1/4 + 0.01, where log G is no longer
+    bounded.
     """
-    s = complex(s)
-    if s.real <= -0.25 + 0.01:
-        raise AccuracyError(f"Re(s) = {s.real} too close to the -1/4 line")
-    pmax = _g_tail_pmax(s.real, accuracy)
-    band = set(table.pminus)
-    logg = 0.0 + 0.0j
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= -0.25 + 0.01):
+        raise AccuracyError(f"Re(s) = {s.real.min()} too close to the -1/4 line")
+    w = 2 * s + 1
+    zv, zb = zeta_em(w)
+    # H_of_s raises VanishingFactor where 1 + 2 r~(p) p^{-1/2-s} is zero,
+    # the only way a band factor's denominator can vanish
+    h = H_of_s(s, table)
+    logg = np.zeros(s.shape, dtype=complex)
     for p in table.pminus:
         rt = resonator.r_tilde(p, table)
         rp = table.r(p)
         denom = ((p + 1.0) / p + rp * rp) * (1.0 + 2.0 * rt * p ** (-0.5 - s))
-        if denom == 0:
-            raise VanishingFactor(p)
-        logg += cmath.log(1.0 - p ** (-2 * s - 2) / denom)
+        logg += np.log(1.0 - p ** (-2 * s - 2) / denom)
     primes = _odd_primes_to(pmax)
-    if band:
-        primes = primes[~np.isin(primes, np.fromiter(band, dtype=np.int64))]
-    logg += _g_generic_log(s, primes)
-    return cmath.exp(logg)
+    primes = primes[~np.isin(primes, table.pminus)].astype(float)
+    step = max(1, _BLOCK // max(w.size, 1))
+    generic = np.zeros(w.size, dtype=complex)
+    for i in range(0, primes.size, step):
+        q = primes[i:i + step, None]
+        generic += np.sum(
+            np.log(1.0 - 1.0 / ((q + 1.0) * np.exp(w.ravel() * np.log(q)))),
+            axis=0)
+    gh = np.exp(logg + generic.reshape(s.shape)) * h
+    tail = 2.0 * float(pmax) ** -w.real / w.real
+    value = zv * gh
+    cert = np.abs(value) * (np.exp(tail) - 1.0) + zb * np.abs(gh) * np.exp(tail)
+    if s.ndim == 0:
+        return complex(value), float(cert)
+    return value, cert
 
 
 @dataclass(frozen=True)
@@ -278,76 +276,9 @@ def F_direct(s: complex, table: CoefficientTable,
     return FValue(total, m_tail + ell_tail)
 
 
-def F_factored(s: complex, table: CoefficientTable,
-               accuracy: float = 1e-8) -> complex:
-    return zeta(2 * s + 1, accuracy) * G_of_s(s, table, accuracy) * H_of_s(s, table)
-
-
-def _g_log_tail(sigma: float, pmax: int) -> float:
-    """Tail of the generic log-product beyond pmax, integers majorizing primes."""
-    e = 2.0 * sigma + 1.0
-    if e <= 0:
-        raise AccuracyError(f"Re(s) = {sigma} at or left of the -1/4 line")
-    return 2.0 * pmax ** -e / e
-
-
-def F_factored_bounded(s: complex, table: CoefficientTable,
-                       pmax: int = 200_000) -> tuple[complex, float]:
-    """zeta(2s+1) G H with G truncated at a fixed point; returns the value
-    and an absolute error certificate (tail of log-G times the modulus)."""
-    s = complex(s)
-    zv, zb = zeta_em(2 * s + 1)
-    band = set(table.pminus)
-    logg = 0.0 + 0.0j
-    for p in table.pminus:
-        rt = resonator.r_tilde(p, table)
-        rp = table.r(p)
-        denom = ((p + 1.0) / p + rp * rp) * (1.0 + 2.0 * rt * p ** (-0.5 - s))
-        if denom == 0:
-            raise VanishingFactor(p)
-        logg += cmath.log(1.0 - p ** (-2 * s - 2) / denom)
-    primes = _odd_primes_to(pmax)
-    if band:
-        primes = primes[~np.isin(primes, np.fromiter(band, dtype=np.int64))]
-    logg += _g_generic_log(s, primes)
-    gh = cmath.exp(logg) * H_of_s(s, table)
-    tail = _g_log_tail(s.real, pmax)
-    cert = abs(zv * gh) * (math.exp(tail) - 1.0) + zb * abs(gh) * math.exp(tail)
-    return zv * gh, cert
-
-
 # --------------------------------------------------------------------------
 # contour evaluation of S(y)
 # --------------------------------------------------------------------------
-
-def _f_factored_vec(svals: np.ndarray, table: CoefficientTable,
-                    accuracy: float = 1e-7) -> np.ndarray:
-    """Vectorized zeta(2s+1) G(s) H(s) over an array of s on one line."""
-    svals = np.asarray(svals, dtype=complex)
-    zv, _ = zeta_em_vec(2 * svals + 1)
-    out = zv
-    for p in table.pminus:
-        out = out * (1.0 + 2.0 * resonator.r_tilde(p, table)
-                     * np.exp(-(0.5 + svals) * math.log(p)))
-        rp = table.r(p)
-        rt = resonator.r_tilde(p, table)
-        denom = ((p + 1.0) / p + rp * rp) * (
-            1.0 + 2.0 * rt * np.exp(-(0.5 + svals) * math.log(p)))
-        out = out * (1.0 - np.exp(-(2 * svals + 2) * math.log(p)) / denom)
-    sigma = float(np.min(svals.real))
-    pmax = _g_tail_pmax(sigma, accuracy)
-    primes = _odd_primes_to(pmax)
-    band = np.fromiter(table.pminus, dtype=np.int64)
-    primes = primes[~np.isin(primes, band)]
-    logg = np.zeros(svals.shape, dtype=complex)
-    for i in range(0, primes.size, 2048):
-        q = primes[i:i + 2048].astype(float)
-        logg += np.sum(
-            np.log(1.0 - 1.0 / ((q[:, None] + 1.0)
-                                * np.exp((2 * svals[None, :] + 1) * np.log(q)[:, None]))),
-            axis=0)
-    return out * np.exp(logg)
-
 
 @dataclass(frozen=True)
 class ContourValue:
@@ -364,11 +295,10 @@ def S_via_contour(y: float, table: CoefficientTable, sigma_line: float = 0.25,
     """
     if sigma_line <= 0:
         raise ValueError("need sigma_line > 0 (right of the pole)")
-    tf = smoothing.canonical_phi()
     nodes, weights = smoothing.vertical_line_nodes(tmax)
     s = sigma_line + 1j * nodes
     mell = smoothing.mellin_phi(s, accuracy=1e-10)
-    fv = _f_factored_vec(s, table, accuracy=accuracy)
+    fv, _ = F_factored_bounded(s, table, _g_tail_pmax(sigma_line, accuracy))
     integ = np.real(np.exp(s * math.log(y)) * mell * fv)
     # even in t by Schwarz reflection: double the t > 0 half-line
     val = float(np.dot(weights, integ)) / math.pi
@@ -406,16 +336,15 @@ def contour_shift_check(y: float, table: CoefficientTable,
     th = np.arange(n_circle) * (2 * math.pi / n_circle)
     s = rho * np.exp(1j * th)
     mell = smoothing.mellin_phi(s)
-    pairs = [F_factored_bounded(complex(sv), table) for sv in s]
-    fv = np.array([v for v, _ in pairs])
-    circ_cert = rho * max(c for _, c in pairs) * float(np.max(np.abs(mell)))
+    fv, fcert = F_factored_bounded(s, table)
+    circ_cert = rho * float(np.max(fcert)) * float(np.max(np.abs(mell)))
     circ = np.mean(np.exp(s * math.log(y)) * mell * fv * s).real
 
     g_acc = 1e-3  # the shifted line sits near the domain edge; tail is costly
     nodes, weights = smoothing.vertical_line_nodes(tmax)
     sL = sigma_left + 1j * nodes
     mellL = smoothing.mellin_phi(sL)
-    fvL = _f_factored_vec(sL, table, accuracy=g_acc)
+    fvL, _ = F_factored_bounded(sL, table, _g_tail_pmax(sigma_left, g_acc))
     integ = np.exp(sL * math.log(y)) * mellL * fvL
     shifted = float(np.dot(weights, np.real(integ))) / math.pi
     # truncating log G at accuracy g_acc perturbs each node relatively;
@@ -545,7 +474,7 @@ def resonance_bound(table: CoefficientTable, params: ResonatorParams,
     for p in table.pminus:
         denom *= 1.0 + 2.0 * abs(resonator.r_tilde(p, table)) / math.sqrt(p)
     ts = np.linspace(t0 - t_window, t0 + t_window, grid)
-    fv = _f_factored_vec(sigma + 1j * ts, table, accuracy=1e-6)
+    fv, _ = F_factored_bounded(sigma + 1j * ts, table, _g_tail_pmax(sigma, 1e-6))
     ratios = np.abs(fv) ** 2 / denom
     i = int(np.argmax(ratios))
     theta = {p: math.log(p) / (2.0 * math.log(L)) for p in table.pminus}
@@ -581,16 +510,12 @@ def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
     th = np.linspace(0, 2 * math.pi, 257)
-    sup_c = 0.0
-    relog = -math.inf
-    for y in y_grid:
-        rho = 1.0 / math.log(max(params.x, y, 3.0))
-        hv = [H_of_s(complex(rho * math.cos(t), rho * math.sin(t)), table)
-              for t in th]
-        sup_c = max(sup_c, max(abs(h) for h in hv))
-        relog = max(relog, max(math.log(abs(h)) for h in hv))
+    rho = np.array([1.0 / math.log(max(params.x, y, 3.0)) for y in y_grid])
+    circle = np.abs(H_of_s(rho[:, None] * np.exp(1j * th), table))
+    sup_c = float(np.max(circle))
+    relog = float(np.max(np.log(circle)))
     ts = np.linspace(-50, 50, 501)
-    sup_l = max(abs(H_of_s(complex(sigma_left, t), table)) for t in ts)
+    sup_l = float(np.max(np.abs(H_of_s(sigma_left + 1j * ts, table))))
 
     def bound(y, c1, c2):
         t1 = math.log(max(params.x, y)) * sup_c

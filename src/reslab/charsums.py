@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, arith, resonator, smoothing
+from .analytic import BERNOULLI_2K
 from .resonator import CoefficientTable, ResonatorParams, SignState
 
 
@@ -171,10 +172,8 @@ class PartialSumKernel:
                 terms.append(abs(coef) * self._b(m, ps) / m)
         return math.fsum(terms)
 
-    def S_tilde(self, y: float, via: str = "psi") -> float:
-        """Dyadic difference, either through psi directly or as S(y) - S(2y)."""
-        if via == "difference":
-            return self.S(y) - self.S(2.0 * y)
+    def S_tilde(self, y: float) -> float:
+        """Dyadic difference S(y) - S(2y), summed through psi directly."""
         if y < 0.25:
             return 0.0
         self._ensure(2.0 * y)
@@ -798,9 +797,6 @@ def afe_central_value(d: int, v_weight=None) -> AfeValue:
     return AfeValue(value, 2.0 * tail, nmax)
 
 
-_BERN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-
-
 def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
     """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1.  The
     direct part adds the terms (k + x)^(-1/2), k < N, one k at a time."""
@@ -814,7 +810,7 @@ def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
     fact = 1.0
     for j in range(1, K + 1):
         fact *= (2 * j - 1) * (2 * j)
-        out += _BERN[j - 1] / fact * poch * w ** (-s - 2 * j + 1)
+        out += BERNOULLI_2K[j - 1] / fact * poch * w ** (-s - 2 * j + 1)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
     return out
 

@@ -10,11 +10,13 @@ abort.  Config errors include a RESLAB_WORKERS that is not a positive
 integer, an ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and
 squarefree, a ``ratio`` whose family holds no admissible d
 (charsums.EmptyFamilyError), a ``ratio --checkpoint`` whose directory does
-not exist, and a checkpoint file that is not a scan checkpoint, belongs to
-another run, or disagrees with the recomputed chunks.  Work-estimate
-aborts (charsums.WorkEstimateError) are a ``ratio`` past the scan's guards
-on D, support size and x, and an ``afe --d`` above charsums.MAX_D_EXACT,
-where the oracle would need O(d) memory and time.  Each ends with one line
+not exist, a checkpoint file that is not a scan checkpoint, belongs to
+another run, or disagrees with the recomputed chunks, and a ``scan-s``
+whose npoints is below 1 or whose y_lo, y_hi are not finite with 0 < y_lo
+< y_hi.  Work-estimate aborts (charsums.WorkEstimateError) are a ``ratio``
+past the scan's guards on D, support size and x, an ``afe --d`` above
+charsums.MAX_D_EXACT, where the oracle would need O(d) memory and time,
+and a ``scan-s --y-hi`` above charsums.MAX_X.  Each ends with one line
 on stderr, not a traceback.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
@@ -243,9 +245,16 @@ def _family_csv(outdir: str):
 
 
 def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
-    params, table, signs, kernel = _build_pipeline(cfg)
+    if npoints < 1:
+        raise ConfigError(f"need npoints >= 1, got {npoints}")
+    if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
+        raise ConfigError(f"need finite y_lo and y_hi, got {y_lo} and {y_hi}")
     if not (0 < y_lo < y_hi):
         raise ConfigError("need 0 < y_lo < y_hi")
+    if y_hi > charsums.MAX_X:
+        raise charsums.WorkEstimateError(
+            f"scan-s guard: need y_hi <= {charsums.MAX_X}, got {y_hi}")
+    params, table, signs, kernel = _build_pipeline(cfg)
     ys = np.exp(np.linspace(math.log(y_lo), math.log(y_hi), npoints))
     rows = [(float(y), kernel.S(float(y)), kernel.S_star(float(y)),
              kernel.S_tilde(float(y))) for y in ys]

@@ -4,6 +4,7 @@ contour evaluation, truncation checks, and the resonance lower bound."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -54,10 +55,27 @@ def _literal_F(s, table, ell_max, m_max):
     return total, tail
 
 
+def _zeta(s):
+    """zeta(s) from zeta_em at its default cutoff, held to a 1e-10
+    remainder certificate."""
+    value, bound = analytic.zeta_em(s)
+    assert bound <= 1e-10
+    return value
+
+
+def _g(s, table, accuracy):
+    """G(s) = F(s) / (zeta(2s+1) H(s)), with G's generic product truncated
+    where its log tail is at most `accuracy`."""
+    pmax = analytic._g_tail_pmax(float(np.min(np.real(s))), accuracy)
+    f, _ = analytic.F_factored_bounded(s, table, pmax)
+    return f / (analytic.zeta_em(2 * np.asarray(s) + 1)[0]
+                * analytic.H_of_s(s, table))
+
+
 class TestZeta:
     def test_even_integer_values(self):
-        assert analytic.zeta(2.0) == pytest.approx(math.pi**2 / 6, rel=1e-13)
-        assert analytic.zeta(4.0) == pytest.approx(math.pi**4 / 90, rel=1e-13)
+        assert _zeta(2.0) == pytest.approx(math.pi**2 / 6, rel=1e-13)
+        assert _zeta(4.0) == pytest.approx(math.pi**4 / 90, rel=1e-13)
 
     def test_direct_sum_oracle_at_three(self):
         # sum n^-3 with an integral tail bracket, independent of the
@@ -65,7 +83,7 @@ class TestZeta:
         N = 2000
         partial = math.fsum(n**-3.0 for n in range(1, N + 1))
         lo, hi = partial + (N + 1) ** -2.0 / 2, partial + N**-2.0 / 2
-        z3 = analytic.zeta(3.0).real
+        z3 = _zeta(3.0).real
         assert lo <= z3 <= hi
         assert z3 == pytest.approx(1.2020569031595945, rel=1e-14)
 
@@ -79,22 +97,23 @@ class TestZeta:
 
     def test_schwarz_reflection(self):
         s = 0.7 + 5.0j
-        assert analytic.zeta(s.conjugate()) == pytest.approx(
-            analytic.zeta(s).conjugate(), rel=1e-12)
+        assert _zeta(s.conjugate()) == pytest.approx(
+            _zeta(s).conjugate(), rel=1e-12)
 
     def test_pole_residue(self):
         for eps in (1e-3, 1e-5):
-            assert (analytic.zeta(1.0 + eps) * eps).real == pytest.approx(
+            assert (_zeta(1.0 + eps) * eps).real == pytest.approx(
                 1.0, abs=5e-3)
 
     def test_vectorized_matches_scalar(self):
-        import numpy as np
-
-        s = np.array([0.75 + 2.0j, 1.25 - 4.0j, 2.0 + 0.0j])
-        vec, _ = analytic.zeta_em_vec(s)
-        for sv, vv in zip(s, vec):
-            assert complex(vv) == pytest.approx(
-                analytic.zeta(complex(sv)), rel=1e-12)
+        s = np.array([[0.75 + 2.0j, 1.25 - 4.0j, 2.0 + 0.0j],
+                      [0.5 + 30.0j, 1.5 + 0.0j, 3.0 - 1.0j]])
+        vec, bounds = analytic.zeta_em(s)
+        assert vec.shape == bounds.shape == s.shape
+        for sv, vv, bv in zip(s.ravel(), vec.ravel(), bounds.ravel()):
+            value, bound = analytic.zeta_em(complex(sv))
+            assert complex(vv) == pytest.approx(value, rel=1e-12)
+            assert float(bv) == pytest.approx(bound, rel=1e-12)
 
 
 class TestH:
@@ -118,7 +137,7 @@ class TestH:
 
 class TestG:
     def test_empty_band_value_frozen(self, empty_band_table):
-        g = analytic.G_of_s(1.0, empty_band_table, accuracy=1e-9)
+        g = _g(1.0, empty_band_table, accuracy=1e-9)
         assert g.imag == 0.0
         assert g.real == pytest.approx(0.9889390562188791, abs=5e-9)
 
@@ -126,16 +145,19 @@ class TestG:
         # with no band primes F = zeta(2s+1) G, so the truncated double
         # sum provides an independent route to G(1)
         fd = analytic.F_direct(1.0, empty_band_table)
-        g = fd.value / analytic.zeta(3.0)
+        g = fd.value / _zeta(3.0)
         assert abs(g - 0.9889390562188791) <= fd.tail + 1e-9
 
     def test_domain_guard(self, desk_table):
         with pytest.raises(smoothing.AccuracyError):
-            analytic.G_of_s(-0.3, desk_table)
+            analytic.F_factored_bounded(-0.3, desk_table)
+        with pytest.raises(smoothing.AccuracyError):
+            analytic.F_factored_bounded(np.array([0.5, -0.3 + 1.0j]),
+                                        desk_table)
 
     def test_log_bounded_on_grid(self, desk_table):
-        for s in (0.05, 0.3 + 2.0j, 1.0 - 5.0j, -0.1 + 1.0j):
-            g = analytic.G_of_s(s, desk_table, accuracy=1e-4)
+        grid = np.array([0.05, 0.3 + 2.0j, 1.0 - 5.0j, -0.1 + 1.0j])
+        for g in _g(grid, desk_table, accuracy=1e-4):
             assert abs(cmath.log(g)) < 10.0
 
 
@@ -174,11 +196,40 @@ class TestFactorization:
         assert b == pytest.approx(a.conjugate(), rel=1e-12)
 
     def test_empty_band_structure(self, empty_band_table):
-        # F = zeta(2s+1) G when the band is empty (H == 1)
+        # F = zeta(2s+1) G when the band is empty (H == 1), with G the
+        # product over every odd prime, here written out term by term
         s = 0.8
-        f = analytic.F_factored(s, empty_band_table)
-        zg = analytic.zeta(2 * s + 1) * analytic.G_of_s(s, empty_band_table)
-        assert f == pytest.approx(zg, rel=1e-10)
+        f, _ = analytic.F_factored_bounded(s, empty_band_table, pmax=1000)
+        g = math.prod(1.0 - 1.0 / ((p + 1) * p ** (2 * s + 1))
+                      for p in arith.primes_up_to(1000)[1:].tolist())
+        assert f == pytest.approx(_zeta(2 * s + 1) * g, rel=1e-10)
+
+    def test_vectorized_matches_scalar(self, desk_table):
+        # 400 nodes against the ~3 200 primes up to 30 000 take several
+        # blocks of the generic-prime sum; a single node takes one
+        t = np.linspace(-30.0, 30.0, 200)
+        s = np.stack([0.05 + 1j * t, -0.1 + 1j * t[::-1]])
+        assert s.size * 3000 > analytic._BLOCK
+        vec, certs = analytic.F_factored_bounded(s, desk_table, pmax=30_000)
+        assert vec.shape == certs.shape == s.shape
+        for idx in ((0, 0), (0, 117), (1, 3), (1, 199)):
+            value, cert = analytic.F_factored_bounded(complex(s[idx]),
+                                                      desk_table, pmax=30_000)
+            assert complex(vec[idx]) == pytest.approx(value, rel=1e-12)
+            assert float(certs[idx]) == pytest.approx(cert, rel=1e-12)
+
+    def test_certificate_covers_zeta_remainder(self, three_prime_table):
+        # far up the line the Euler-Maclaurin remainder of zeta(2s+1) at
+        # its default cutoff dominates the certificate; the same product
+        # with zeta at N = 400 (remainder below 1e-17) is the reference
+        s = 0.25 + 100.0j
+        value, cert = analytic.F_factored_bounded(s, three_prime_table)
+        z50, _ = analytic.zeta_em(2 * s + 1)
+        z400, b400 = analytic.zeta_em(2 * s + 1, N=400)
+        assert b400 < 1e-15
+        gap = abs(value - value / z50 * z400)
+        assert gap > 1e-8
+        assert gap <= cert
 
 
 class TestContour:
@@ -229,8 +280,6 @@ class TestRankin:
 
 class TestResonance:
     def test_trig_identity_minimum(self):
-        import numpy as np
-
         lo, hi = 5 * math.pi / 6, 7 * math.pi / 6
         grid = np.linspace(lo, hi, 20001)
         vals = [analytic.trig_product(t) for t in grid]

@@ -40,8 +40,8 @@ def small_kernel(small_table):
 class TestKernel:
     def test_tilde_routes_agree(self, small_kernel):
         for y in (3.0, 7.0, 15.0, 40.0):
-            via_psi = small_kernel.S_tilde(y, via="psi")
-            via_diff = small_kernel.S_tilde(y, via="difference")
+            via_psi = small_kernel.S_tilde(y)
+            via_diff = small_kernel.S(y) - small_kernel.S(2.0 * y)
             assert via_psi == pytest.approx(via_diff, abs=1e-12)
 
     def test_small_values_frozen(self, small_kernel):

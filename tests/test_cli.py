@@ -236,6 +236,27 @@ class TestErrorPaths:
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv"))
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv.tmp"))
 
+    @pytest.mark.parametrize("args, code", [
+        (["--npoints", "-1"], cli.EXIT_CONFIG),
+        (["--npoints", "0"], cli.EXIT_CONFIG),
+        (["--y-hi", "inf"], cli.EXIT_CONFIG),
+        (["--y-lo", "nan"], cli.EXIT_CONFIG),
+        (["--y-lo", "0"], cli.EXIT_CONFIG),
+        (["--y-lo", "9", "--y-hi", "3"], cli.EXIT_CONFIG),
+        (["--y-hi", "1e300"], cli.EXIT_WORK),
+        (["--y-hi", str(charsums.MAX_X * 1.001)], cli.EXIT_WORK),
+    ], ids=["npoints_negative", "npoints_zero", "y_hi_inf", "y_lo_nan",
+            "y_lo_zero", "reversed", "y_hi_huge", "y_hi_past_guard"])
+    def test_scan_s_bad_range_without_traceback(self, args, code,
+                                                small_cfg_path, tmp_path):
+        proc = _run_cli(["--config", small_cfg_path, "scan-s", *args],
+                        tmp_path)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        outdir = cli.RunConfig.load(small_cfg_path).outdir
+        assert not os.path.exists(os.path.join(outdir, "scan_s.csv"))
+
     def test_oracle_guard_exit_three(self, tmp_path):
         proc = _run_cli(["afe", "--d", str(charsums.MAX_D_EXACT + 1)], tmp_path)
         assert proc.returncode == cli.EXIT_WORK
