@@ -193,18 +193,8 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
     m <= m_max; the distinct divisors e <= m_max of the kept l; the
     (l, e) pairs with g(e); and prod(1 + 2|r~(p)|/sqrt(p)).
     """
-    bfull = np.ones(m_max + 1)
-    for p in _odd_primes_to(m_max).tolist():
-        bfull[p::p] *= resonator.b_prime_factor(p, params)
-    ells = []
-    stack = [(0, 1, 1.0, ())]
-    while stack:
-        idx, ell, coef, ps = stack.pop()
-        ells.append((ell, coef * (2 ** len(ps)) / math.sqrt(ell), ps))
-        for i in range(idx, len(band)):
-            p, rt = band[i]
-            if ell * p <= ell_max:
-                stack.append((i + 1, ell * p, coef * rt, ps + (p,)))
+    bfull = resonator.b_sieve(params, m_max)
+    ells = resonator.band_products(band, ell_max)
     # g(e) = prod_{p | e} (1/beta_p - 1) over the odd squarefree e | l
     ginv = {p: 1.0 / resonator.b_prime_factor(p, params) - 1.0
             for p, _ in band if p != 2}

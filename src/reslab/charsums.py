@@ -69,91 +69,60 @@ def _char_table(n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 class PartialSumKernel:
-    """Evaluates S, S* and the dyadic difference S~ for a coefficient table.
+    """Evaluates S, S*, the dyadic difference S~ and y S' for a coefficient
+    table.
 
     Only the low band enters: the outer sum runs over squarefree integers
     composed of low-band primes (the coprimality condition against the high
-    band), with coefficient r~(l) d(l)/sqrt(l), and the inner sum over m
-    carries the multiplicative weight b(m, l)/m under the cutoff
-    phi(l m^2 / y).
+    band), with coefficient c_l = r~(l) d(l)/sqrt(l), and the inner sum
+    over m carries the multiplicative weight b(m, l)/m under a cutoff at
+    u = l m^2 / y.
+
+    All four sums run over one (l, m) lattice: the arrays l, m,
+    base = c_l b(m, l)/m and l m^2.  It is built from resonator's
+    band_products walk and b_sieve, the same two helpers behind
+    analytic.F_direct, and grown only when a larger y is asked for.  A sum
+    at y takes the window l <= lim, m <= isqrt(int(lim / l)) with lim = 2y
+    (4y for S~), weights base by phi(u), 1 (in absolute value), psi(u) or
+    -u phi'(u), and adds the terms with math.fsum, so its value depends on
+    neither the term order nor how far the lattice has grown.  Any y above
+    MAX_X raises WorkEstimateError before the lattice is touched.
     """
 
     def __init__(self, table: CoefficientTable, test_fn: smoothing.TestFunction | None = None):
         self.table = table
         self.params = table.params
         self.test_fn = test_fn or smoothing.canonical_phi()
-        self._rt = {p: resonator.r_tilde(p, table) for p in table.pminus}
-        self._beta = {}
-        self._ells = [(1, 1.0, frozenset())]
-        self._ell_limit = 1.0
-        self._spf = arith.smallest_prime_factor(64)
+        self._band = tuple((p, resonator.r_tilde(p, table))
+                           for p in sorted(table.pminus))
+        self._lim = 0.0
+        self._lattice = None
 
-    # -- lazy tables -------------------------------------------------------
-
-    def _ensure(self, y: float) -> None:
-        lim = 2.0 * y
-        if lim > self._ell_limit:
-            self._extend_ells(lim)
-            self._ell_limit = lim
-        mmax = math.isqrt(int(2.0 * y)) + 1
-        if mmax >= len(self._spf):
-            self._spf = arith.smallest_prime_factor(2 * mmax)
-
-    def _extend_ells(self, lim: float) -> None:
-        primes = sorted(self.table.pminus)
-        out = [(1, 1.0, frozenset())]
-
-        def rec(idx, n, coef, ps):
-            for i in range(idx, len(primes)):
-                p = primes[i]
-                m = n * p
-                if m > lim:
-                    break
-                c = coef * self._rt[p] * 2.0
-                nps = ps | {p}
-                out.append((m, c, nps))
-                rec(i + 1, m, c, nps)
-
-        rec(0, 1, 1.0, frozenset())
-        # store coefficient r~(l) d(l) / sqrt(l)
-        self._ells = sorted((n, c / math.sqrt(n), ps) for n, c, ps in out)
-
-    def _b(self, m: int, ell_primes: frozenset) -> float:
-        """b(m, l): product over odd p | m with p not dividing l."""
-        out = 1.0
-        spf = self._spf
-        while m > 1:
-            p = int(spf[m])
-            while m % p == 0:
-                m //= p
-            if p != 2 and p not in ell_primes:
-                beta = self._beta.get(p)
-                if beta is None:
-                    beta = resonator.b_prime_factor(p, self.params)
-                    self._beta[p] = beta
-                out *= beta
-        return out
-
-    # -- the sums ----------------------------------------------------------
+    def _window(self, y: float, lim: float) -> tuple[np.ndarray, np.ndarray]:
+        """base and u = l m^2 / y over the lattice window of cutoff lim."""
+        if y > MAX_X:
+            raise WorkEstimateError(
+                f"partial-sum guard: need y <= {MAX_X}, got {y}")
+        if lim > self._lim:
+            cols = []
+            for ell, coef, ps in resonator.band_products(self._band, lim):
+                mmax = math.isqrt(int(lim / ell))
+                m = np.arange(1.0, mmax + 1)
+                b = resonator.b_sieve(self.params, mmax, ps)[1:]
+                cols.append((np.full(mmax, float(ell)), m, coef * b / m,
+                             ell * m * m))
+            self._lattice = tuple(np.concatenate(c) for c in zip(*cols))
+            self._lim = lim
+        ell, m, base, lm2 = self._lattice
+        keep = m * m <= lim / ell
+        return base[keep], lm2[keep] / y
 
     def S(self, y: float) -> float:
         """S(y) = sum_l c_l sum_m b(m,l)/m phi(l m^2 / y)."""
         if y < 0.5:
             return 0.0
-        self._ensure(y)
-        lim = 2.0 * y
-        phi = self.test_fn.value
-        terms = []
-        for ell, coef, ps in self._ells:
-            if ell > lim:
-                break
-            mmax = math.isqrt(int(lim / ell))
-            for m in range(1, mmax + 1):
-                u = ell * m * m / y
-                w = phi(u)
-                if w != 0.0:
-                    terms.append(coef * self._b(m, ps) / m * w)
-        return math.fsum(terms)
+        base, u = self._window(y, 2.0 * y)
+        return math.fsum((base * self.test_fn.value(u)).tolist())
 
     def S_star(self, y: float) -> float:
         """Absolute-value companion: all cutoffs replaced by the window
@@ -161,53 +130,22 @@ class PartialSumKernel:
         nondecreasing in y."""
         if y < 0.5:
             return 0.0
-        self._ensure(y)
-        lim = 2.0 * y
-        terms = []
-        for ell, coef, ps in self._ells:
-            if ell > lim:
-                break
-            mmax = math.isqrt(int(lim / ell))
-            for m in range(1, mmax + 1):
-                terms.append(abs(coef) * self._b(m, ps) / m)
-        return math.fsum(terms)
+        base, _ = self._window(y, 2.0 * y)
+        return math.fsum(np.abs(base).tolist())
 
     def S_tilde(self, y: float) -> float:
         """Dyadic difference S(y) - S(2y), summed through psi directly."""
         if y < 0.25:
             return 0.0
-        self._ensure(2.0 * y)
-        lim = 4.0 * y
-        terms = []
-        for ell, coef, ps in self._ells:
-            if ell > lim:
-                break
-            mmax = math.isqrt(int(lim / ell))
-            for m in range(1, mmax + 1):
-                u = ell * m * m / y
-                w = smoothing.psi(u)
-                if w != 0.0:
-                    terms.append(coef * self._b(m, ps) / m * w)
-        return math.fsum(terms)
+        base, u = self._window(y, 4.0 * y)
+        return math.fsum((base * smoothing.psi(u)).tolist())
 
     def y_dS(self, y: float) -> float:
         """y * dS/dy, by exact termwise differentiation of the cutoff."""
         if y < 0.5:
             return 0.0
-        self._ensure(y)
-        lim = 2.0 * y
-        dphi = self.test_fn.deriv
-        terms = []
-        for ell, coef, ps in self._ells:
-            if ell > lim:
-                break
-            mmax = math.isqrt(int(lim / ell))
-            for m in range(1, mmax + 1):
-                u = ell * m * m / y
-                dp = dphi(u)
-                if dp != 0.0:
-                    terms.append(-coef * self._b(m, ps) / m * u * dp)
-        return math.fsum(terms)
+        base, u = self._window(y, 2.0 * y)
+        return math.fsum((-base * u * self.test_fn.deriv(u)).tolist())
 
 
 def derivative_bound_check(y: float, kernel: PartialSumKernel) -> tuple[float, float]:

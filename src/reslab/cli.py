@@ -16,8 +16,9 @@ whose npoints is below 1 or whose y_lo, y_hi are not finite with 0 < y_lo
 < y_hi.  Work-estimate aborts (charsums.WorkEstimateError) are a ``ratio``
 past the scan's guards on D, support size and x, an ``afe --d`` above
 charsums.MAX_D_EXACT, where the oracle would need O(d) memory and time,
-and a ``scan-s --y-hi`` above charsums.MAX_X.  Each ends with one line
-on stderr, not a traceback.
+a ``scan-s --y-hi`` above charsums.MAX_X, and any command whose sign
+assignment asks for a partial sum S(x/p) above charsums.MAX_X.  Each ends
+with one line on stderr, not a traceback.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
 computes the report: the process that scans a chunk also formats its CSV
@@ -179,8 +180,9 @@ def _build_pipeline(cfg: RunConfig):
     table = resonator.build_table(params)
     kernel = charsums.PartialSumKernel(table)
     signs = resonator.assign_signs(table, kernel.S)
+    # the kernel reads only the low band, which signs and support leave alone
     table = table.with_signs(signs).with_support()
-    return params, table, signs, charsums.PartialSumKernel(table)
+    return params, table, signs, kernel
 
 
 def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:

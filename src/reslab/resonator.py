@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
+import numpy as np
+
 from . import arith
 
 TWO_NINTHS = 2.0 / 9.0
@@ -240,16 +242,34 @@ def b_prime_factor(p: int, params: ResonatorParams) -> float:
     return (p / (p + 1.0)) * (1.0 + r2) / (1.0 + r2 * p / (p + 1.0))
 
 
-def r_full(n: arith.FactoredInteger, table: CoefficientTable) -> float:
-    """r(n): product of prime values on odd squarefree n, else 0."""
-    if not n.is_squarefree or not n.is_odd:
-        return 0.0
-    out = 1.0
-    for p, _ in n.factors:
-        v = table.r(p)
-        if v == 0.0:
-            return 0.0
-        out *= v
+def band_products(band, limit: float) -> list[tuple[int, float, tuple[int, ...]]]:
+    """The squarefree products l <= limit of the band primes.
+
+    `band` holds (p, r~(p)) in ascending p.  Returns (l, c_l, primes of l),
+    l = 1 first, with c_l = r~(l) d(l) / sqrt(l): the product of 2 r~(p)
+    over p | l, taken in ascending prime order, over sqrt(l).
+    """
+    out = []
+    stack = [(0, 1, 1.0, ())]
+    while stack:
+        idx, ell, coef, ps = stack.pop()
+        out.append((ell, coef / math.sqrt(ell), ps))
+        for i in range(idx, len(band)):
+            p, rt = band[i]
+            if ell * p > limit:
+                break
+            stack.append((i + 1, ell * p, coef * 2.0 * rt, ps + (p,)))
+    return out
+
+
+def b_sieve(params: ResonatorParams, m_max: int, ell_primes=()) -> np.ndarray:
+    """b(m, l) for 0 <= m <= m_max (entry 0 is unused), l given by its
+    primes: the product of b_prime_factor(p) over the odd primes p | m with
+    p not dividing l, multiplied in ascending p."""
+    out = np.ones(m_max + 1)
+    for p in arith.primes_up_to(m_max)[1:].tolist():
+        if p not in ell_primes:
+            out[p::p] *= b_prime_factor(p, params)
     return out
 
 

@@ -215,16 +215,6 @@ def canonical_phi() -> TestFunction:
     return TestFunction()
 
 
-def psi_l1_log(accuracy: float = 1e-8) -> float:
-    """int_0^inf |psi(u)| du/u, by quadrature (psi <= 0 so this is -int psi du/u)."""
-    from scipy.integrate import quad
-
-    val, err = quad(lambda u: -psi(u) / u, 1.0, 4.0, epsabs=accuracy / 10, limit=200)
-    if err > accuracy:
-        raise AccuracyError(f"psi L1(log) quadrature error {err} > {accuracy}")
-    return val
-
-
 def vertical_line_nodes(tmax: float, panel: float = 0.5, order: int = 16):
     """Gauss-Legendre nodes/weights covering t in [0, tmax] by equal panels."""
     z, w = np.polynomial.legendre.leggauss(order)
@@ -235,14 +225,3 @@ def vertical_line_nodes(tmax: float, panel: float = 0.5, order: int = 16):
     nodes = (0.5 * (b - a) * z[None, :] + 0.5 * (a + b)).ravel()
     weights = (0.5 * (b - a) * np.broadcast_to(w, (npan, order))).ravel()
     return nodes, weights
-
-
-def inverse_mellin_phi(x: float, sigma: float = 0.25, tmax: float = 300.0,
-                       accuracy: float = 1e-10) -> float:
-    """Mellin inversion (1/2 pi i) int_(sigma) x^{-s} phi~(s) ds, truncated at
-    |Im s| = tmax.  Spectral check of the transform; returns a real value."""
-    t, w = vertical_line_nodes(tmax)
-    s = sigma + 1j * t
-    vals = mellin_phi(s, accuracy=accuracy)
-    integrand = (x ** (-s) * vals).real  # even in t after taking real part
-    return (2.0 / (2 * math.pi)) * float(np.dot(w, integrand))

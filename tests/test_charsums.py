@@ -37,7 +37,68 @@ def small_kernel(small_table):
     return charsums.PartialSumKernel(small_table)
 
 
+def _literal_sums(table, y):
+    """S, S*, S~ and y S' at y by a plain double loop: l over the integers
+    whose factorization is squarefree in the low band, m up to the window
+    m^2 <= lim / l, with r~, b_weight and a scalar weight per term."""
+    phi = smoothing.canonical_phi()
+    band = set(table.pminus)
+    sums = []
+    for lim, weight in ((2.0 * y, lambda base, u: base * phi.value(u)),
+                        (2.0 * y, lambda base, u: abs(base)),
+                        (4.0 * y, lambda base, u: base * smoothing.psi(u)),
+                        (2.0 * y, lambda base, u: -base * u * phi.deriv(u))):
+        terms = []
+        for ell in range(1, int(lim) + 1):
+            lf = arith.factorize(ell)
+            if not (lf.is_squarefree and set(lf.primes) <= band):
+                continue
+            coef = 1.0
+            for p in lf.primes:
+                coef *= 2.0 * resonator.r_tilde(p, table)
+            coef /= math.sqrt(ell)
+            m = 1
+            while m * m <= lim / ell:
+                b = resonator.b_weight(arith.factorize(m), lf, table)
+                terms.append(weight(coef * b / m, ell * m * m / y))
+                m += 1
+        sums.append(math.fsum(terms))
+    return sums
+
+
+@pytest.fixture(scope="module")
+def lattice_tables(small_table, three_prime_table, desk_table):
+    return {"small": small_table, "three": three_prime_table,
+            "desk": desk_table}
+
+
 class TestKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["small", "three", "desk"]),
+           y=st.floats(0.5, 500.0))
+    # l m^2 = 2y at the S window edge (41 * 3^2 = 369, 11 * 2^2 = 44) and
+    # l m^2 = 4y at the S~ edge
+    @example(name="desk", y=184.5)
+    @example(name="desk", y=92.25)
+    @example(name="small", y=22.0)
+    def test_lattice_matches_literal_loop(self, lattice_tables, name, y):
+        kernel = charsums.PartialSumKernel(lattice_tables[name])
+        got = [kernel.S(y), kernel.S_star(y), kernel.S_tilde(y),
+               kernel.y_dS(y)]
+        assert got == pytest.approx(_literal_sums(lattice_tables[name], y),
+                                    rel=1e-12)
+
+    def test_lattice_history_independent(self, lattice_tables):
+        # a kernel grown at a large y first answers smaller y with the same
+        # floats as a fresh kernel for each y
+        ys = (300.0, 184.5, 92.25, 22.0, 7.3, 2.0, 0.6, 0.3)
+        for table in lattice_tables.values():
+            grown = charsums.PartialSumKernel(table)
+            for y in ys:
+                fresh = charsums.PartialSumKernel(table)
+                for f in ("S", "S_star", "S_tilde", "y_dS"):
+                    assert getattr(grown, f)(y) == getattr(fresh, f)(y)
+
     def test_tilde_routes_agree(self, small_kernel):
         for y in (3.0, 7.0, 15.0, 40.0):
             via_psi = small_kernel.S_tilde(y)

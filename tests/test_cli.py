@@ -264,6 +264,18 @@ class TestErrorPaths:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not os.path.exists(tmp_path / "afe_report.json")
 
+    def test_kernel_guard_exit_three(self, tmp_path):
+        # at x = 10^11 sign assignment asks for S(x/p) far above MAX_X; the
+        # kernel refuses before it builds its lattice
+        (tmp_path / "wide.cfg").write_text(
+            DESK_CFG.replace("x = 200\n", "x = 1e11\n"))
+        proc = _run_cli(["--config", "wide.cfg", "ratio"], tmp_path)
+        assert proc.returncode == cli.EXIT_WORK
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "partial-sum guard" in proc.stderr
+        assert not os.path.exists(tmp_path / "out")
+
 
 DESK_CFG = f"""\
 # the D = 10^6 exhibit schedule
@@ -278,22 +290,26 @@ outdir = out
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
-    # the ratio path and the factorization and gallagher suites need numpy
-    # only; scipy is imported inside the functions that use it
+    # the ratio path, the partial-sum lattice behind scan-s and the
+    # factorization and gallagher suites need numpy only; scipy is imported
+    # inside the functions that use it
     (tmp_path / "run.cfg").write_text(DESK_CFG)
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     for run in ("", "reslab.cli.main(['--config', 'run.cfg', 'verify', "
                     "'factorization'])",
                 "reslab.cli.main(['--config', 'run.cfg', 'verify', "
-                "'gallagher'])"):
+                "'gallagher'])",
+                "reslab.cli.main(['--config', 'run.cfg', 'scan-s'])"):
         code = f"import sys, reslab.cli\n{run}\n{report}"
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", run
-        if run:
+        if "verify" in run:
             assert proc.stdout.startswith("PASS"), proc.stdout
+        elif run:
+            assert proc.stdout.startswith("csv: "), proc.stdout
 
 
 class TestScanCommand:

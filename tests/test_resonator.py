@@ -99,12 +99,6 @@ class TestTable:
         # primes dividing l are skipped
         assert resonator.b_weight(m, arith.factorize(41 * 43), desk_table) == 1.0
 
-    def test_r_full_vanishes_off_squarefree_odd(self, desk_table):
-        assert resonator.r_full(arith.factorize(4), desk_table) == 0.0
-        assert resonator.r_full(arith.factorize(2 * 41), desk_table) == 0.0
-        v = resonator.r_full(arith.factorize(41 * 43), desk_table)
-        assert v == pytest.approx(desk_table.r(41) * desk_table.r(43))
-
 
 class TestSigns:
     def test_epsilon_opposes_s(self, desk_table):
