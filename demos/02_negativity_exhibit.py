@@ -20,8 +20,9 @@ table = table.with_signs(signs).with_support()
 
 # the scan visits every odd squarefree d in (D/2, D], weighting the
 # truncated sum T(d) by the resonator square R(d)^2; chunked compensated
-# sums make the result identical for any worker count
-report = charsums.pigeonhole_extract(params, table, signs, workers=2)
+# sums make the result identical for any worker count; the sigma terms
+# reuse the kernel that chose the signs
+report = charsums.pigeonhole_extract(params, table, signs, kernel, workers=2)
 
 print(f"admissible discriminants: {report.admissible}")
 print(f"denominator  Den = sum R(d)^2      = {report.Den:.4f}")

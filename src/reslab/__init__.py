@@ -30,9 +30,7 @@ from .resonator import (
 )
 from .smoothing import (
     AccuracyError,
-    TestFunction,
     afe_weight_V,
-    canonical_phi,
     mellin_phi,
     phi,
     psi,
@@ -45,9 +43,7 @@ from .charsums import (
     afe_central_value,
     big_R,
     denominator_asymptotic,
-    denominator_exact,
     dirichlet_l_half,
-    numerator_exact,
     orthogonality_check,
     pigeonhole_extract,
     scan_family,

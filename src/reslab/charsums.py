@@ -52,9 +52,9 @@ class EmptyFamilyError(RuntimeError):
     """No admissible discriminant carries positive weight."""
 
 
-# guards for the brute-force paths
+# guards for the brute-force paths; the support guard is
+# resonator.MAX_SUPPORT, which support enumeration enforces too
 MAX_D_EXACT = 10**8
-MAX_SUPPORT = 10**5
 MAX_X = 10**6
 
 
@@ -89,10 +89,9 @@ class PartialSumKernel:
     MAX_X raises WorkEstimateError before the lattice is touched.
     """
 
-    def __init__(self, table: CoefficientTable, test_fn: smoothing.TestFunction | None = None):
+    def __init__(self, table: CoefficientTable):
         self.table = table
         self.params = table.params
-        self.test_fn = test_fn or smoothing.canonical_phi()
         self._band = tuple((p, resonator.r_tilde(p, table))
                            for p in sorted(table.pminus))
         self._lim = 0.0
@@ -122,7 +121,7 @@ class PartialSumKernel:
         if y < 0.5:
             return 0.0
         base, u = self._window(y, 2.0 * y)
-        return math.fsum((base * self.test_fn.value(u)).tolist())
+        return math.fsum((base * smoothing.phi(u)).tolist())
 
     def S_star(self, y: float) -> float:
         """Absolute-value companion: all cutoffs replaced by the window
@@ -145,13 +144,13 @@ class PartialSumKernel:
         if y < 0.5:
             return 0.0
         base, u = self._window(y, 2.0 * y)
-        return math.fsum((-base * u * self.test_fn.deriv(u)).tolist())
+        return math.fsum((-base * u * smoothing.phi_prime(u)).tolist())
 
 
 def derivative_bound_check(y: float, kernel: PartialSumKernel) -> tuple[float, float]:
     """(lhs, rhs) with lhs = |y dS/dy| and rhs = C_phi * S*(y)."""
     lhs = abs(kernel.y_dS(y))
-    rhs = kernel.test_fn.c_phi * kernel.S_star(y)
+    rhs = smoothing.c_phi() * kernel.S_star(y)
     return lhs, rhs
 
 
@@ -179,12 +178,10 @@ def sigma2(params: ResonatorParams, kernel: PartialSumKernel) -> float:
     return kernel.S(params.x)
 
 
-def sigma2_display(params: ResonatorParams, table: CoefficientTable,
-                   test_fn: smoothing.TestFunction | None = None) -> float:
+def sigma2_display(params: ResonatorParams, table: CoefficientTable) -> float:
     """Independent plain-loop evaluation of the sigma_2 double sum, used as
     a cross-check on the kernel: iterates candidate l directly and factors
     by trial division instead of using the kernel's caches."""
-    test_fn = test_fn or smoothing.canonical_phi()
     x = params.x
     lim = int(2.0 * x)
     pm = sorted(table.pminus)
@@ -206,7 +203,7 @@ def sigma2_display(params: ResonatorParams, table: CoefficientTable,
         coef *= 2.0**nfac / math.sqrt(ell)
         m = 1
         while ell * m * m <= lim:
-            w = test_fn.value(ell * m * m / x)
+            w = smoothing.phi(ell * m * m / x)
             if w != 0.0:
                 b = 1.0
                 mm = m
@@ -232,16 +229,15 @@ def sigma2_display(params: ResonatorParams, table: CoefficientTable,
 # single-discriminant sums
 # --------------------------------------------------------------------------
 
-def truncated_sum(d: int, x: float, test_fn: smoothing.TestFunction | None = None) -> float:
+def truncated_sum(d: int, x: float) -> float:
     """T(d) = sum_{n <= 2x} chi_{8d}(n) phi(n/x)/sqrt(n); even n drop out."""
     arith.check_2d_squarefree(d)
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    test_fn = test_fn or smoothing.canonical_phi()
     m = 8 * d
     terms = []
     for n in range(1, int(2 * x) + 1, 2):
-        w = test_fn.value(n / x)
+        w = smoothing.phi(n / x)
         if w != 0.0:
             c = arith.kronecker(m, n)
             if c:
@@ -280,7 +276,7 @@ class CheckpointError(ValueError):
     directory that does not exist."""
 
 
-def _scan_state(params, table, test_fn):
+def _scan_state(params, table):
     """What every chunk of one scan shares: the support with r(n), the
     truncation weights phi(n/x)/sqrt(n), and the prime basis.
 
@@ -294,7 +290,7 @@ def _scan_state(params, table, test_fn):
     support = [(int(n), float(r)) for n, r in table.support]
     truncation = []
     for n in range(1, int(2 * x) + 1, 2):
-        c = test_fn.value(n / x) / math.sqrt(n)
+        c = smoothing.phi(n / x) / math.sqrt(n)
         if c != 0.0:
             truncation.append((n, c))
     spf = arith.smallest_prime_factor(int(2 * x))
@@ -427,8 +423,9 @@ def _scan_digest(params: ResonatorParams, table: CoefficientTable,
                  state: dict, chunk_size: int) -> str:
     """Identity of a scan: everything that determines a chunk's summary.
 
-    The test function enters the chunks only through the truncation
-    weights, so those weights stand for it.
+    The cutoff enters the chunks only through the truncation weights
+    phi(n/x)/sqrt(n), so those weights stand for it: a change to phi's code
+    changes the digest.
     """
     payload = {
         "version": __version__,
@@ -455,7 +452,6 @@ def _load_checkpoint(path: str, digest: str) -> dict[int, list]:
 
 
 def scan_family(params: ResonatorParams, table: CoefficientTable,
-                test_fn: smoothing.TestFunction | None = None,
                 workers: int | None = None, chunk_size: int = 1 << 17,
                 checkpoint: str | None = None, sink=None) -> FamilyScan:
     """Denominator, numerator, and weighted minimum over the whole family.
@@ -477,12 +473,12 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     """
     if table.support is None:
         raise ValueError("support not enumerated; call table.with_support()")
-    test_fn = test_fn or smoothing.canonical_phi()
     D = params.D
-    if D > MAX_D_EXACT or len(table.support) > MAX_SUPPORT or params.x > MAX_X:
+    if (D > MAX_D_EXACT or len(table.support) > resonator.MAX_SUPPORT
+            or params.x > MAX_X):
         raise WorkEstimateError(
             f"exact scan guard: need D <= {MAX_D_EXACT}, support <= "
-            f"{MAX_SUPPORT}, x <= {MAX_X}; got D = {D}, "
+            f"{resonator.MAX_SUPPORT}, x <= {MAX_X}; got D = {D}, "
             f"support = {len(table.support)}, x = {params.x}")
     lo = int(D // 2) + 1
     hi = int(D)
@@ -494,7 +490,7 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
         raise CheckpointError(
             f"checkpoint {checkpoint}: directory does not exist")
 
-    state = _scan_state(params, table, test_fn)
+    state = _scan_state(params, table)
     digest = _scan_digest(params, table, state, chunk_size)
     done: dict[int, list] = {}
     if checkpoint and os.path.exists(checkpoint):
@@ -536,12 +532,6 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     return FamilyScan(denom, numer, best[0], best[1], count, len(bounds))
 
 
-def denominator_exact(params: ResonatorParams, table: CoefficientTable,
-                      **kw) -> float:
-    """Brute-force Den = sum mu^2(2d) R(d)^2 over (D/2, D]."""
-    return scan_family(params, table, **kw).denom
-
-
 def denominator_asymptotic(params: ResonatorParams, table: CoefficientTable) -> float:
     """(2/pi^2) D * prod over the low band of (1 + r'(p)^2)."""
     prod = 1.0
@@ -550,14 +540,8 @@ def denominator_asymptotic(params: ResonatorParams, table: CoefficientTable) -> 
     return 2.0 / math.pi**2 * params.D * prod
 
 
-def numerator_exact(params: ResonatorParams, table: CoefficientTable,
-                    **kw) -> float:
-    """Num via the d-outer loop: sum mu^2(2d) R(d)^2 T(d)."""
-    return scan_family(params, table, **kw).numer
-
-
-def numerator_exact_triple(params: ResonatorParams, table: CoefficientTable,
-                           test_fn: smoothing.TestFunction | None = None) -> float:
+def numerator_exact_triple(params: ResonatorParams,
+                           table: CoefficientTable) -> float:
     """Tiny-instance oracle: the numerator as the support-outer triple sum
 
         sum_{l1, l2} r(l1) r(l2) sum_n phi(n/x)/sqrt(n)
@@ -567,7 +551,6 @@ def numerator_exact_triple(params: ResonatorParams, table: CoefficientTable,
     """
     if table.support is None:
         raise ValueError("support not enumerated")
-    test_fn = test_fn or smoothing.canonical_phi()
     D, x = params.D, params.x
     if D > 500 or len(table.support) > 16 or x > 50:
         raise WorkEstimateError("triple-sum oracle is for tiny instances only")
@@ -577,7 +560,7 @@ def numerator_exact_triple(params: ResonatorParams, table: CoefficientTable,
     for l1, r1 in table.support:
         for l2, r2 in table.support:
             for n in range(1, int(2 * x) + 1):
-                w = test_fn.value(n / x)
+                w = smoothing.phi(n / x)
                 if w == 0.0:
                     continue
                 csum = sum(arith.kronecker(8 * d, l1 * l2 * n) for d in ds)
@@ -613,19 +596,21 @@ class RatioReport:
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState,
-                       test_fn: smoothing.TestFunction | None = None,
+                       kernel: PartialSumKernel | None = None,
                        workers: int | None = None,
                        checkpoint: str | None = None, sink=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
-    exact weighted-average pigeonhole  min <= Num/Den.  ``sink`` receives
-    the family's CSV lines as in scan_family."""
-    scan = scan_family(params, table, test_fn=test_fn, workers=workers,
+    exact weighted-average pigeonhole  min <= Num/Den.  ``kernel``, when
+    given, is the partial-sum kernel behind the signs, reused for sigma_1
+    and sigma_2; ``sink`` receives the family's CSV lines as in
+    scan_family."""
+    scan = scan_family(params, table, workers=workers,
                        checkpoint=checkpoint, sink=sink)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom
-    kernel = PartialSumKernel(table, test_fn)
+    kernel = kernel or PartialSumKernel(table)
     s1 = sigma1(params, table, signs, kernel)
     s2 = sigma2(params, kernel)
     dasym = denominator_asymptotic(params, table)

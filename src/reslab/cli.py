@@ -6,7 +6,8 @@ JSON written atomically (temp file + rename) so a failed run leaves no
 partial outputs.
 
 Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 work-estimate
-abort.  Config errors include a RESLAB_WORKERS that is not a positive
+abort.  Config errors include a schedule value (D, a, L, x, B, Z or a
+band edge) that is NaN or infinite, a RESLAB_WORKERS that is not a positive
 integer, an ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and
 squarefree, a ``ratio`` whose family holds no admissible d
 (charsums.EmptyFamilyError), a ``ratio --checkpoint`` whose directory does
@@ -14,7 +15,9 @@ not exist, a checkpoint file that is not a scan checkpoint, belongs to
 another run, or disagrees with the recomputed chunks, and a ``scan-s``
 whose npoints is below 1 or whose y_lo, y_hi are not finite with 0 < y_lo
 < y_hi.  Work-estimate aborts (charsums.WorkEstimateError) are a ``ratio``
-past the scan's guards on D, support size and x, an ``afe --d`` above
+past the scan's guards on D, support size and x, a schedule whose support
+holds more than resonator.MAX_SUPPORT entries (resonator.SupportTooLarge,
+raised while it is enumerated), an ``afe --d`` above
 charsums.MAX_D_EXACT, where the oracle would need O(d) memory and time,
 a ``scan-s --y-hi`` above charsums.MAX_X, and any command whose sign
 assignment asks for a partial sum S(x/p) above charsums.MAX_X.  Each ends
@@ -191,8 +194,8 @@ def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
     workers = cfg.worker_count()
     with _family_csv(cfg.outdir) as sink:
         report = charsums.pigeonhole_extract(
-            params, table, signs, workers=workers, checkpoint=checkpoint,
-            sink=sink)
+            params, table, signs, kernel, workers=workers,
+            checkpoint=checkpoint, sink=sink)
     ok = report.extremal_value <= report.ratio + 1e-9 * abs(report.ratio)
     payload = {
         "version": __version__,
@@ -481,7 +484,7 @@ def main(argv=None) -> int:
             charsums.CheckpointError, charsums.EmptyFamilyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except charsums.WorkEstimateError as e:
+    except (charsums.WorkEstimateError, resonator.SupportTooLarge) as e:
         print(f"work estimate exceeded: {e}", file=sys.stderr)
         return EXIT_WORK
     except (AssertionError, smoothing.AccuracyError) as e:

@@ -32,6 +32,8 @@ TWO_NINTHS = 2.0 / 9.0
 E_E = math.exp(math.e)
 BAND_LO_EXP = 5.0 * math.pi / 3.0
 BAND_HI_EXP = 7.0 * math.pi / 3.0
+# most support entries any run enumerates; the family scan's guard too
+MAX_SUPPORT = 10**5
 
 
 class ParamsError(ValueError):
@@ -81,7 +83,8 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     Asymptotic mode needs 0 < a < 2/9 and produces L = sqrt(log Y loglog Y);
     explicit mode needs an L override and accepts pminus_lo, pminus_hi, B,
     x, Z overrides (x defaults to D^a when a is given, Z to min(x D^delta,
-    x^(3/2)) when a is given, else x^(3/2); B defaults to x).
+    x^(3/2)) when a is given, else x^(3/2); B defaults to x).  D, a and
+    every override must be finite.
     """
     if D < 2:
         raise ParamsError(f"need D >= 2, got {D}")
@@ -90,6 +93,10 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     unknown = set(overrides) - {"L", "pminus_lo", "pminus_hi", "B", "x", "Z"}
     if unknown:
         raise ParamsError(f"unknown overrides: {sorted(unknown)}")
+    bad = {k: v for k, v in {"D": D, "a": a, **overrides}.items()
+           if v is not None and not math.isfinite(v)}
+    if bad:
+        raise ParamsError(f"need finite values, got {bad}")
 
     delta = None
     if a is not None:
@@ -188,8 +195,8 @@ class CoefficientTable:
         return replace(self, r_at_prime=MappingProxyType(vals),
                        epsilon=signs.epsilon)
 
-    def with_support(self, cap: int = 10**7) -> "CoefficientTable":
-        return replace(self, support=enumerate_support(self, cap=cap))
+    def with_support(self) -> "CoefficientTable":
+        return replace(self, support=enumerate_support(self))
 
 
 def build_table(params: ResonatorParams) -> CoefficientTable:
@@ -290,11 +297,12 @@ def assign_signs(table: CoefficientTable, s_evaluator) -> SignState:
 
 
 def enumerate_support(table: CoefficientTable, Z: float | None = None,
-                      cap: int = 10**7) -> tuple[tuple[int, float], ...]:
+                      cap: int = MAX_SUPPORT) -> tuple[tuple[int, float], ...]:
     """All n <= Z that are products of distinct band primes, with r(n).
 
     Depth-first products with early cutoff; sorted by n.  High-band primes
-    require signs to have been assigned.
+    require signs to have been assigned.  Raises SupportTooLarge as soon as
+    more than `cap` entries are found.
     """
     params = table.params
     if Z is None:

@@ -54,18 +54,6 @@ class DirichletPolynomial:
 _GAUSS_MAX_NODES = 64
 
 
-def _composite_gauss(a: float, b: float, npan: int, order: int):
-    """Gauss-Legendre rule of `order` nodes on each of `npan` equal panels
-    of [a, b]."""
-    z, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, npan + 1)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    nodes = (0.5 * (hi - lo) * z[None, :] + 0.5 * (lo + hi)).ravel()
-    weights = (0.5 * (hi - lo) * np.broadcast_to(w, (npan, order))).ravel()
-    return nodes, weights
-
-
 def _gauss_order(c: float, target: float) -> int:
     """Fewest Gauss-Legendre nodes k on [-1, 1] whose remainder bound
     K_k c^{2k} is <= target, K_k = 2^{2k+1} (k!)^4 / ((2k+1) ((2k)!)^3)."""
@@ -119,7 +107,7 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
     mass = float(np.sum(np.abs(a))) ** 2
     k = _gauss_order(alpha * math.log(ns[-1] / ns[0]),
                      0.5 * allowed / (alpha * mass) if mass else math.inf)
-    z, w = np.polynomial.legendre.leggauss(k)
+    z, w = smoothing.gauss_panels(-1.0, 1.0, 1, k)
     pt = np.exp(-1j * alpha * z[:, None] * np.log(ns)[None, :]) @ a
     gauss = alpha * float(np.dot(w, np.abs(pt) ** 2))
     if abs(closed - gauss) > allowed:
@@ -131,8 +119,8 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
 def _log_gauss_nodes(lo: float, hi: float, per_unit: int = 24, order: int = 8):
     """Gauss nodes in v = log y over [log lo, log hi]."""
     a, b = math.log(lo), math.log(hi)
-    return _composite_gauss(a, b, max(4, int(math.ceil((b - a) * per_unit))),
-                            order)
+    return smoothing.gauss_panels(
+        a, b, max(4, int(math.ceil((b - a) * per_unit))), order)
 
 
 def rhs_integral(P: DirichletPolynomial, sigma: float,
@@ -167,7 +155,7 @@ def f_sigma(u, sigma: float):
 @lru_cache(maxsize=16)
 def _f_nodes(sigma: float, npan: int = 48, order: int = 12):
     """Composite Gauss nodes over [-C, 0] with f_sigma pre-evaluated."""
-    u, wt = _composite_gauss(-SUPPORT_C, 0.0, npan, order)
+    u, wt = smoothing.gauss_panels(-SUPPORT_C, 0.0, npan, order)
     return u, wt, f_sigma(u, sigma)
 
 
@@ -239,7 +227,7 @@ def autocorrelation_sigma(x, sigma: float):
     xa = np.asarray(x, dtype=float)
     lo = np.maximum(-SUPPORT_C, -SUPPORT_C - xa)
     width = np.maximum(np.minimum(0.0, -xa) - lo, 0.0)
-    z, w = _composite_gauss(0.0, 1.0, 48, 12)
+    z, w = smoothing.gauss_panels(0.0, 1.0, 48, 12)
     u = lo[..., None] + width[..., None] * z
     vals = f_sigma(u, sigma) * f_sigma(u + xa[..., None], sigma)
     out = (vals @ w) * width
@@ -249,7 +237,7 @@ def autocorrelation_sigma(x, sigma: float):
 @lru_cache(maxsize=16)
 def _h_nodes(sigma: float, npan: int = 96, order: int = 12):
     """Gauss nodes over [-C, C] with the autocorrelation pre-evaluated."""
-    x, wt = _composite_gauss(-SUPPORT_C, SUPPORT_C, npan, order)
+    x, wt = smoothing.gauss_panels(-SUPPORT_C, SUPPORT_C, npan, order)
     return x, wt, autocorrelation_sigma(x, sigma)
 
 

@@ -13,12 +13,17 @@ s = 0 with residue 1 and decays faster than any power of |Im s| on vertical
 lines; it is evaluated through the integrated-by-parts form
 
     phi~(s) = -(1/s) * int_1^2 phi'(u) u^s du.
+
+phi is the one cutoff of the package: every partial sum calls phi and
+phi_prime here directly, and c_phi() is its smoothness certificate.
+gauss_panels is the one composite Gauss-Legendre rule; the Mellin
+transform, the vertical-line nodes of the contour and every quadrature of
+the sieve harness take their nodes from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -75,17 +80,24 @@ def psi_sigma(x, sigma):
     return _as_out(x, xa**sigma * psi(xa))
 
 
-@lru_cache(maxsize=8)
-def _gauss_panels(npanels: int, order: int):
-    """Gauss-Legendre nodes/weights on [1, 2] split into equal panels."""
+@lru_cache(maxsize=32)
+def gauss_panels(a: float, b: float, npan: int, order: int):
+    """Nodes and weights of the composite Gauss-Legendre rule: `order`
+    Legendre nodes on each of `npan` equal panels of [a, b].
+
+    The rule integrates polynomials of degree up to 2 order - 1 exactly, and
+    its weights sum to b - a.  Results are cached, so the arrays are
+    read-only.
+    """
     z, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(1.0, 2.0, npanels + 1)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * z + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.linspace(a, b, npan + 1)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    nodes = (0.5 * (hi - lo) * z[None, :] + 0.5 * (lo + hi)).ravel()
+    weights = (0.5 * (hi - lo) * np.broadcast_to(w, (npan, order))).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 class AccuracyError(RuntimeError):
@@ -97,7 +109,7 @@ def _mellin_raw(s, npanels):
 
     Vectorized over an array of s values.
     """
-    u, w = _gauss_panels(npanels, 32)
+    u, w = gauss_panels(1.0, 2.0, npanels, 32)
     sa = np.atleast_1d(np.asarray(s, dtype=complex))
     # (nodes, s) matrix of u^s
     mat = np.exp(np.log(u)[:, None] * sa[None, :])
@@ -114,7 +126,7 @@ def mellin_phi(s, accuracy: float = 1e-10):
     """
     sa = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(sa == 0):
-        raise ValueError("phi~ has a pole at s = 0; use mellin_phi_reg")
+        raise ValueError("phi~ has a pole at s = 0")
     if np.any(sa.real <= -10):
         raise ValueError("mellin_phi supported for Re(s) > -10")
     raw = _mellin_final(sa, accuracy)
@@ -142,23 +154,6 @@ def _panels_for(sa):
     return max(4, int(tmax * math.log(2.0) / 40) + 4)
 
 
-def mellin_phi_reg(s, accuracy: float = 1e-10):
-    """phi~(s) - 1/s, which is analytic across s = 0.
-
-    Uses  phi~(s) - 1/s = -(1/s) [ int phi'(u) u^s du + 1 ]
-                        = -int phi'(u) log(u) E(s log u) du
-    with E(z) = (e^z - 1)/z, stable for small s.
-    """
-    sa = np.atleast_1d(np.asarray(s, dtype=complex))
-    u, w = _gauss_panels(max(8, _panels_for(sa)), 32)
-    lu = np.log(u)
-    z = sa[None, :] * lu[:, None]
-    small = np.abs(z) < 1e-6
-    ez = np.where(small, 1.0 + z / 2.0, np.expm1(z) / np.where(small, 1.0, z))
-    vals = -((phi_prime(u) * w * lu) @ ez)
-    return complex(vals[0]) if np.ndim(s) == 0 else vals
-
-
 def afe_weight_V(x):
     """Central-point weight V(x) = Gamma(1/4, x^2) / Gamma(1/4).
 
@@ -173,7 +168,8 @@ def afe_weight_V(x):
     return _as_out(x, gammaincc(0.25, xa * xa))
 
 
-def _max_u_phi_prime() -> float:
+@lru_cache(maxsize=1)
+def c_phi() -> float:
     """sup over u of |u phi'(u)|, the smoothness certificate for phi."""
     u = np.linspace(1.0, 2.0, 200001)[1:-1]
     vals = np.abs(u * phi_prime(u))
@@ -196,32 +192,7 @@ def _max_u_phi_prime() -> float:
     return max(best, float(vals[i]))
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A smooth cutoff with evaluation, derivative, support bound, and the
-    numerically computed certificate sup |u f'(u)|."""
-
-    value: callable = phi
-    deriv: callable = phi_prime
-    support_hi: float = 2.0
-    c_phi: float = field(default_factory=_max_u_phi_prime)
-
-    def __call__(self, x):
-        return self.value(x)
-
-
-@lru_cache(maxsize=1)
-def canonical_phi() -> TestFunction:
-    return TestFunction()
-
-
-def vertical_line_nodes(tmax: float, panel: float = 0.5, order: int = 16):
-    """Gauss-Legendre nodes/weights covering t in [0, tmax] by equal panels."""
-    z, w = np.polynomial.legendre.leggauss(order)
-    npan = max(1, int(math.ceil(tmax / panel)))
-    edges = np.linspace(0.0, tmax, npan + 1)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = (0.5 * (b - a) * z[None, :] + 0.5 * (a + b)).ravel()
-    weights = (0.5 * (b - a) * np.broadcast_to(w, (npan, order))).ravel()
-    return nodes, weights
+def vertical_line_nodes(tmax: float):
+    """Gauss-Legendre nodes/weights covering t in [0, tmax]: 16 nodes on
+    each panel of width at most 1/2."""
+    return gauss_panels(0.0, tmax, max(1, int(math.ceil(tmax / 0.5))), 16)

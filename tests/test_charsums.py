@@ -41,13 +41,12 @@ def _literal_sums(table, y):
     """S, S*, S~ and y S' at y by a plain double loop: l over the integers
     whose factorization is squarefree in the low band, m up to the window
     m^2 <= lim / l, with r~, b_weight and a scalar weight per term."""
-    phi = smoothing.canonical_phi()
     band = set(table.pminus)
     sums = []
-    for lim, weight in ((2.0 * y, lambda base, u: base * phi.value(u)),
+    for lim, weight in ((2.0 * y, lambda base, u: base * smoothing.phi(u)),
                         (2.0 * y, lambda base, u: abs(base)),
                         (4.0 * y, lambda base, u: base * smoothing.psi(u)),
-                        (2.0 * y, lambda base, u: -base * u * phi.deriv(u))):
+                        (2.0 * y, lambda base, u: -base * u * smoothing.phi_prime(u))):
         terms = []
         for ell in range(1, int(lim) + 1):
             lf = arith.factorize(ell)
@@ -169,7 +168,7 @@ class TestSingleDiscriminant:
         for d in (1, 3, 7, 11):
             full = math.fsum(
                 arith.kronecker(8 * d, n)
-                * charsums.smoothing.canonical_phi().value(n / x)
+                * smoothing.phi(n / x)
                 / math.sqrt(n)
                 for n in range(1, int(2 * x) + 1))
             assert charsums.truncated_sum(d, x) == pytest.approx(
@@ -212,7 +211,8 @@ class TestFamilyScan:
         assert scan.admissible == len(denom)
 
     def test_triple_sum_oracle(self, small_params, small_table):
-        numer = charsums.numerator_exact(small_params, small_table, workers=1)
+        numer = charsums.scan_family(small_params, small_table,
+                                     workers=1).numer
         triple = charsums.numerator_exact_triple(small_params, small_table)
         assert numer == pytest.approx(triple, abs=1e-9)
         assert triple == pytest.approx(65.88514883761619, rel=1e-13)
@@ -257,22 +257,24 @@ class TestFamilyScan:
             charsums.scan_family(small_params, small_table, workers=1,
                                  checkpoint=ck)
 
-    @pytest.mark.parametrize("change", [
-        {"chunk_size": 64},
-        {"test_fn": dataclasses.replace(
-            smoothing.canonical_phi(), value=lambda u: smoothing.phi(1.5 * u))},
-    ], ids=["chunk_size", "test_fn"])
+    @pytest.mark.parametrize("change", ["chunk_size", "cutoff"])
     def test_checkpoint_keyed_on_run(self, small_params, small_table,
-                                     tmp_path, change):
+                                     tmp_path, monkeypatch, change):
         # chunks are stored by index, so a checkpoint written with 16-wide
-        # chunks read back with 64-wide ones would merge the wrong ranges
+        # chunks read back with 64-wide ones would merge the wrong ranges;
+        # one written under another cutoff holds other truncated sums
         ck = str(tmp_path / "scan.json")
         charsums.scan_family(small_params, small_table, workers=1,
                              chunk_size=16, checkpoint=ck)
-        kw = {"chunk_size": 16, **change}
+        chunk_size = 16
+        if change == "chunk_size":
+            chunk_size = 64
+        else:
+            phi = smoothing.phi
+            monkeypatch.setattr(smoothing, "phi", lambda u: phi(1.5 * u))
         with pytest.raises(charsums.CheckpointError, match="different run"):
             charsums.scan_family(small_params, small_table, workers=1,
-                                 checkpoint=ck, **kw)
+                                 chunk_size=chunk_size, checkpoint=ck)
 
     def test_checkpoint_not_json(self, small_params, small_table, tmp_path):
         ck = tmp_path / "scan.json"
@@ -326,8 +328,7 @@ class TestFamilyScan:
                                       rel=1e-12)
         # the text is exact: every field reads back as the scan's float,
         # bit for bit, so no rounding format can pass
-        state = charsums._scan_state(params, small_table,
-                                     smoothing.canonical_phi())
+        state = charsums._scan_state(params, small_table)
         d, w, t = charsums._chunk_arrays(D // 2 + 1, D, state)
         assert [r[0] for r in rows] == d.tolist()
         for col, arr in ((1, t), (2, w)):
@@ -426,7 +427,8 @@ class TestRatioPipeline:
         dasym = charsums.denominator_asymptotic(small_params, small_table)
         assert dasym == pytest.approx(41.4350274476477, rel=1e-13)
         # at D = 200 the exact sum sits within a few percent of the model
-        dex = charsums.denominator_exact(small_params, small_table, workers=1)
+        dex = charsums.scan_family(small_params, small_table,
+                                   workers=1).denom
         assert abs(dex - dasym) / dasym < 0.05
 
 

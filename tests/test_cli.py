@@ -204,7 +204,8 @@ def _run_cli(args, cwd, workers="1"):
 class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
                                       "checkpoint_not_json", "empty_family",
-                                      "checkpoint_dir_missing"])
+                                      "checkpoint_dir_missing", "x_nan",
+                                      "B_nan", "Z_nan", "Z_inf"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         ck = tmp_path / "scan.ckpt"
         cfg = small_cfg_path
@@ -225,8 +226,17 @@ class TestErrorPaths:
             empty.write_text(SMALL_CFG.replace("D = 200", "D = 2")
                              + f"outdir = {tmp_path / 'out'}\n")
             cfg = str(empty)
-        else:
+        elif case == "checkpoint_dir_missing":
             ck = tmp_path / "nodir" / "scan.ckpt"
+        else:
+            # NaN slips past every comparison the schedule makes, and an
+            # infinite Z puts no bound on the support
+            key, value = case.split("_")
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(SMALL_CFG.replace(
+                f"\n{key} = ", f"\n{key} = {value}  # was ")
+                + f"outdir = {tmp_path / 'out'}\n")
+            cfg = str(bad)
         proc = _run_cli(["--config", cfg, "ratio", "--checkpoint",
                          str(ck)], tmp_path, workers=workers)
         assert proc.returncode == cli.EXIT_CONFIG
@@ -256,6 +266,18 @@ class TestErrorPaths:
         assert len(proc.stderr.strip().splitlines()) == 1
         outdir = cli.RunConfig.load(small_cfg_path).outdir
         assert not os.path.exists(os.path.join(outdir, "scan_s.csv"))
+
+    def test_support_guard_exit_three(self, tmp_path):
+        # Z = 10^13 on the desk schedule has 1.67M support entries; the
+        # enumeration stops at resonator.MAX_SUPPORT instead of building them
+        (tmp_path / "deep.cfg").write_text(
+            DESK_CFG.replace("\nZ = ", "\nZ = 1e13  # was "))
+        proc = _run_cli(["--config", "deep.cfg", "ratio"], tmp_path)
+        assert proc.returncode == cli.EXIT_WORK
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "support exceeds" in proc.stderr
+        assert not os.path.exists(tmp_path / "out")
 
     def test_oracle_guard_exit_three(self, tmp_path):
         proc = _run_cli(["afe", "--d", str(charsums.MAX_D_EXACT + 1)], tmp_path)

@@ -1,9 +1,15 @@
 """No module of the package, and no demo, reaches into another reslab
 module's private names: every `<module>._name` attribute access and every
 `from <module> import _name` must stay inside the module that defines the
-name.  Tests are exempt."""
+name.  Tests are exempt.
+
+The same walk guards the entry points of the demos and of the benchmark in
+perfbench/: every reslab name they take must exist, and so must every
+method and span the benchmark's child process wraps by name, so deleting a
+public name they use fails here, before the benchmark runs."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -13,7 +19,9 @@ import reslab
 PKG = pathlib.Path(reslab.__file__).parent
 ROOT = PKG.parent.parent
 MODULES = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
-FILES = sorted(PKG.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+FILES = sorted(PKG.glob("*.py")) + DEMOS
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -31,12 +39,13 @@ def _module_of(node, aliases):
     return None
 
 
-def private_reaches(path: pathlib.Path) -> list[str]:
-    """Each private name of another reslab module that `path` touches."""
-    own = path.stem if path.parent == PKG else None
+def reslab_refs(path: pathlib.Path) -> list[tuple[str, str]]:
+    """Each (module, name) that `path` takes from a reslab module, by
+    `from <module> import name` or by the attribute access `<module>.name`;
+    the module is "reslab" for the package itself."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     aliases = {}
-    found = []
+    refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -56,14 +65,61 @@ def private_reaches(path: pathlib.Path) -> list[str]:
             for a in node.names:
                 if source == "reslab" and a.name in MODULES:
                     aliases[a.asname or a.name] = a.name
-                elif _private(a.name) and source != own:
-                    found.append(f"{source}.{a.name}")
+                else:
+                    refs.append((source, a.name))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and _private(node.attr):
+        if isinstance(node, ast.Attribute):
             mod = _module_of(node.value, aliases)
-            if mod is not None and mod != own:
-                found.append(f"{mod}.{node.attr}")
-    return found
+            if mod is not None:
+                refs.append((mod, node.attr))
+    return refs
+
+
+def private_reaches(path: pathlib.Path) -> list[str]:
+    """Each private name of another reslab module that `path` touches."""
+    own = path.stem if path.parent == PKG else None
+    return [f"{mod}.{name}" for mod, name in reslab_refs(path)
+            if _private(name) and mod != own]
+
+
+def _resolve(dotted: str):
+    """The object a dotted name under reslab names, such as "cli",
+    "charsums.scan_family" or "resonator.CoefficientTable.with_support";
+    AttributeError if it is gone."""
+    obj = reslab
+    for name in dotted.split("."):
+        if obj is reslab and name in MODULES:
+            obj = importlib.import_module(f"reslab.{name}")
+        else:
+            obj = getattr(obj, name)
+    return obj
+
+
+def missing_names(path: pathlib.Path) -> list[str]:
+    """Each reslab name that `path` takes and the package does not have."""
+    out = []
+    for mod, name in reslab_refs(path):
+        dotted = name if mod == "reslab" else f"{mod}.{name}"
+        try:
+            _resolve(dotted)
+        except AttributeError:
+            out.append(dotted)
+    return out
+
+
+def _bench_tables() -> dict:
+    """The literal tables of perfbench/child.py: METHODS as written, and
+    the keys of EXTRA."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name == "METHODS":
+                out[name] = ast.literal_eval(node.value)
+            elif name == "EXTRA":
+                out[name] = [ast.literal_eval(k) for k in node.value.keys]
+    return out
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -87,3 +143,30 @@ def test_detector_flags_reaches(tmp_path):
     assert sorted(private_reaches(demo)) == [
         "analytic._g_tail_pmax", "arith._helper", "charsums._hurwitz_half",
         "sieve._gauss_order", "smoothing._mellin_raw"]
+
+
+@pytest.mark.parametrize("path", DEMOS + BENCH,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_entry_point_names_exist(path):
+    assert missing_names(path) == []
+
+
+def test_benchmark_wrapped_names_exist():
+    tables = _bench_tables()
+    assert tables["METHODS"] and tables["EXTRA"]
+    for dotted in [".".join(m) for m in tables["METHODS"]] + tables["EXTRA"]:
+        assert callable(_resolve(dotted)), dotted
+
+
+def test_entry_point_check_flags_missing_names(tmp_path):
+    demo = tmp_path / "probe.py"
+    demo.write_text(
+        "import reslab.cli\n"
+        "from reslab import charsums, smoothing as sm\n"
+        "from reslab.resonator import build_params, gone_name\n"
+        "charsums.scan_family\n"
+        "sm.canonical_phi\n"
+        "reslab.cli.main\n"
+        "reslab.__version__\n")
+    assert sorted(missing_names(demo)) == [
+        "resonator.gone_name", "smoothing.canonical_phi"]
