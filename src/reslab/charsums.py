@@ -686,38 +686,47 @@ def _chi8d_values(d: int, nmax: int) -> np.ndarray:
     return chi
 
 
-def afe_central_value(d: int, v_weight=None) -> AfeValue:
-    """Smoothed central value for conductor 8d:
+def afe_central_value(d: int) -> AfeValue:
+    """Smoothed central value for conductor q = 8d:
 
-        2 sum_{n <= sqrt(q) log q} chi_{8d}(n) / sqrt(n) * V(n sqrt(pi/q)).
+        2 sum_{n <= N} chi_{8d}(n) / sqrt(n) * V(c n),   N = sqrt(q) log q,
+                                                         c = sqrt(pi / q).
 
     chi comes from one kronecker call per prime up to the cutoff, a route
-    independent of the oracle's residue tables.  V (``v_weight``, default
-    smoothing.afe_weight_V) is called once on the array of odd n with
-    chi(n) != 0, and the terms are summed by math.fsum.  The reported
-    tail bound majorizes the discarded terms by the integral of V along
-    the cutoff.  Raises WorkEstimateError for d > MAX_D_EXACT before any
-    allocation: the character table holds sqrt(8d) log(8d) entries, 641 MiB
-    per int64 array at d = 10^12.
+    independent of the oracle's residue tables.  V = smoothing.afe_weight_V
+    (series below x^2 = 1.5, Legendre continued fraction above) is called
+    once on the array of odd n with chi(n) != 0, and the terms are summed
+    by math.fsum.
+
+    The tail bound majorizes the discarded terms, n > N to infinity.  DLMF
+    8.10.1 (x^{1-a} e^x Gamma(a, x) <= 1 for a <= 1) gives
+    V(x) <= x^{-3/2} e^{-x^2} / Gamma(1/4); the integrand t^{-2} e^{-c^2 t^2}
+    decreases, so with t^{-2} <= N^{-2} and e^{-c^2 t^2} <= (t/N) e^{-c^2 t^2}
+
+        2 sum_{n > N} V(c n) / sqrt(n)
+            <= 2 c^{-3/2} N^{-2} e^{-c^2 N^2} / (2 c^2 N Gamma(1/4)).
+
+    It is evaluated in logs, and a bound below the smallest double reads
+    math.ulp(0.0), never 0.  Raises WorkEstimateError for d > MAX_D_EXACT
+    before any allocation: the character table holds sqrt(8d) log(8d)
+    entries, 641 MiB per int64 array at d = 10^12.
     """
     if d > MAX_D_EXACT:
         raise WorkEstimateError(
             f"AFE guard: need d <= {MAX_D_EXACT}, got d = {d}")
     arith.check_2d_squarefree(d)
-    V = v_weight or smoothing.afe_weight_V
     q = 8 * d
     nmax = int(math.sqrt(q) * math.log(q))
     chi = _chi8d_values(d, max(nmax, 1))
     scale = math.sqrt(math.pi / q)
     n = np.arange(1, nmax + 1, 2)
     n = n[chi[n] != 0]
-    terms = chi[n] / np.sqrt(n) * V(scale * n)
+    terms = chi[n] / np.sqrt(n) * smoothing.afe_weight_V(scale * n)
     value = 2.0 * math.fsum(terms.tolist())
-    from scipy.integrate import quad
-
-    tail, _ = quad(lambda t: V(scale * t) / math.sqrt(t), nmax, 10 * nmax + 100,
-                   limit=200)
-    return AfeValue(value, 2.0 * tail, nmax)
+    # the bound above is c^{-7/2} N^{-3} e^{-c^2 N^2} / Gamma(1/4)
+    log_tail = (-3.5 * math.log(scale) - 3.0 * math.log(nmax)
+                - (scale * nmax) ** 2 - math.lgamma(0.25))
+    return AfeValue(value, max(math.exp(log_tail), math.ulp(0.0)), nmax)
 
 
 def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:

@@ -301,8 +301,8 @@ def cmd_afe(cfg: RunConfig, dvals: list[int]) -> int:
     rows = []
     worst = 0.0
     for d in dvals:
-        # the oracle first, so its residue blocks are freed before the
-        # AFE's tail quadrature loads scipy; both refuse d > MAX_D_EXACT
+        # the oracle first, so that for d > MAX_D_EXACT its guard is the
+        # one that refuses the run, before any AFE work
         oracle = charsums.dirichlet_l_half(d)
         afe = charsums.afe_central_value(d)
         gap = abs(afe.value - oracle)

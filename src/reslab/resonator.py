@@ -84,7 +84,7 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     explicit mode needs an L override and accepts pminus_lo, pminus_hi, B,
     x, Z overrides (x defaults to D^a when a is given, Z to min(x D^delta,
     x^(3/2)) when a is given, else x^(3/2); B defaults to x).  D, a and
-    every override must be finite.
+    every override must be finite, and L, x - 1 and Z positive.
     """
     if D < 2:
         raise ParamsError(f"need D >= 2, got {D}")
@@ -125,6 +125,8 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     if "L" not in overrides:
         raise ParamsError("explicit mode requires an L override")
     L = float(overrides["L"])
+    if L <= 0:
+        raise ParamsError(f"explicit mode requires L > 0, got L = {L}")
     x = float(overrides.get("x", D**a if a is not None else 0.0))
     if x <= 1:
         raise ParamsError("explicit mode requires x > 1 (override or via a)")
@@ -134,6 +136,8 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
         Z = min(x * D**delta, x**1.5)
     else:
         Z = x**1.5
+    if Z <= 0:
+        raise ParamsError(f"explicit mode requires Z > 0, got Z = {Z}")
     Y = math.sqrt(Z / x)
     B = float(overrides.get("B", x))
     plo = float(overrides.get("pminus_lo", L**BAND_LO_EXP))

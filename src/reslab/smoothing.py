@@ -154,18 +154,75 @@ def _panels_for(sa):
     return max(4, int(tmax * math.log(2.0) / 40) + 4)
 
 
+# V(x) = Q(1/4, x^2): the shape a, Gamma(a), the switch point z0 between the
+# two branches, and their fixed term counts (see afe_weight_V)
+_V_A = 0.25
+_GAMMA_A = math.gamma(_V_A)
+_GAMMA_A1 = math.gamma(_V_A + 1.0)
+_V_SWITCH = 1.5
+_V_SERIES_TERMS = 24
+_V_FRACTION_STEPS = 60
+
+
 def afe_weight_V(x):
     """Central-point weight V(x) = Gamma(1/4, x^2) / Gamma(1/4).
 
-    Regularized upper incomplete gamma: V(0) = 1, 0 <= V <= 1, and V decays
-    like exp(-x^2) up to powers.
+    Regularized upper incomplete gamma Q(a, z) at a = 1/4, z = x^2:
+    V(0) = 1, 0 <= V <= 1, and V decays like exp(-x^2) up to powers.
+    Accepts scalars or arrays; both branches run vectorized.
+
+    - z < z0 = 1.5: V = 1 - P(a, z) with the series (DLMF 8.7.1)
+      P = z^a e^{-z} / Gamma(a + 1) * sum_k z^k / ((a + 1) ... (a + k)).
+      Its 24 terms leave a geometric remainder: at z0 the term k = 24 is
+      1.1e-20 and each next one shrinks by z0 / (a + k) < 1/16, so the rest
+      is below 1.2e-20, far under half an ulp of the sum (>= 1).
+    - z >= z0: V = z^a e^{-z} h / Gamma(a), with h the even contraction of
+      the Legendre continued fraction (DLMF 8.9.2), 60 steps of modified
+      Lentz.  The partial denominators z + 2k + 1 - a are positive, and
+      both Lentz ratios stay above 3.9 for every z >= z0 (no zero-divisor
+      guard).  The fraction converges slowest just above z0, where 60
+      steps leave 1.4e-15 relative against a 40-digit reference;
+      tests/test_smoothing.py checks V to 1e-12 relative against an
+      independent Q(1/4, z) on 0 <= x <= 36.4.
+
+    The AFE calls V on x <= sqrt(pi) log(8 MAX_D_EXACT), about 36.3.  V
+    falls below 1e-300 at x = 26.2 and underflows to 0 from x = 27.19 on.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise ValueError("afe_weight_V needs x >= 0")
-    from scipy.special import gammaincc
+    # V is 0 in doubles past x = 27.19; the cap keeps inf out of the
+    # fraction, so V(inf) = 0
+    xa = np.minimum(xa, 45.0)
+    z = xa * xa
+    out = np.empty(z.shape)
+    low = z < _V_SWITCH
+    out[low] = _v_series(z[low])
+    out[~low] = _v_fraction(z[~low])
+    return _as_out(x, out)
 
-    return _as_out(x, gammaincc(0.25, xa * xa))
+
+def _v_series(z):
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(1, _V_SERIES_TERMS + 1):
+        term = term * z / (_V_A + k)
+        total = total + term
+    return 1.0 - np.exp(-z) * z**_V_A / _GAMMA_A1 * total
+
+
+def _v_fraction(z):
+    b = z + 1.0 - _V_A
+    c = np.full_like(z, 1e300)
+    d = 1.0 / b
+    h = d
+    for i in range(1, _V_FRACTION_STEPS + 1):
+        an = -i * (i - _V_A)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+    return np.exp(-z) * z**_V_A * h / _GAMMA_A
 
 
 @lru_cache(maxsize=1)

@@ -10,6 +10,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaincc
 
 from reslab import arith, charsums, resonator, smoothing
 
@@ -476,6 +477,26 @@ class TestCentralValue:
             0.7094580614652297, rel=1e-12)
         assert charsums.dirichlet_l_half(3) == pytest.approx(
             0.7094580614652294, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 1249])
+    def test_afe_tail_bound_covers_tail(self, d):
+        # the terms nmax < n <= 20 nmax, summed through scipy's gammaincc
+        # (a test-only oracle), against the closed bound
+        afe = charsums.afe_central_value(d)
+        nmax = afe.terms
+        q = 8 * d
+        chi = charsums._chi8d_values(d, 20 * nmax)
+        n = np.arange(nmax + 1, 20 * nmax + 1)
+        tail = math.fsum((chi[n] / np.sqrt(n)
+                          * gammaincc(0.25, math.pi / q * n * n)).tolist())
+        assert afe.tail_bound >= 2.0 * abs(tail)
+        assert afe.tail_bound > 0.0
+
+    def test_afe_tail_bound_never_zero(self):
+        # at d = 1 000 003 the bound is about e^{-800}: below the smallest
+        # double, so it reads the smallest positive one
+        afe = charsums.afe_central_value(1_000_003)
+        assert afe.tail_bound == math.ulp(0.0)
 
     def test_afe_rejects_bad_d(self):
         with pytest.raises(arith.InvalidDiscriminant):

@@ -205,7 +205,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
                                       "checkpoint_not_json", "empty_family",
                                       "checkpoint_dir_missing", "x_nan",
-                                      "B_nan", "Z_nan", "Z_inf"])
+                                      "B_nan", "Z_nan", "Z_inf", "Z_neg",
+                                      "Z_zero", "L_neg"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         ck = tmp_path / "scan.ckpt"
         cfg = small_cfg_path
@@ -229,9 +230,12 @@ class TestErrorPaths:
         elif case == "checkpoint_dir_missing":
             ck = tmp_path / "nodir" / "scan.ckpt"
         else:
-            # NaN slips past every comparison the schedule makes, and an
-            # infinite Z puts no bound on the support
+            # NaN slips past every comparison the schedule makes, an
+            # infinite Z puts no bound on the support, Z < 0 reaches
+            # sqrt(Z / x), L < 0 a complex L^(5 pi/3), and Z = 0 an empty
+            # schedule
             key, value = case.split("_")
+            value = {"Z_neg": "-1", "Z_zero": "0", "L_neg": "-2"}.get(case, value)
             bad = tmp_path / "bad.cfg"
             bad.write_text(SMALL_CFG.replace(
                 f"\n{key} = ", f"\n{key} = {value}  # was ")
@@ -312,16 +316,19 @@ outdir = out
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
-    # the ratio path, the partial-sum lattice behind scan-s and the
-    # factorization and gallagher suites need numpy only; scipy is imported
-    # inside the functions that use it
+    # the ratio path, the partial-sum lattice behind scan-s, the
+    # factorization and gallagher suites and the central values need numpy
+    # only; scipy is a test-only oracle
     (tmp_path / "run.cfg").write_text(DESK_CFG)
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     for run in ("", "reslab.cli.main(['--config', 'run.cfg', 'verify', "
                     "'factorization'])",
                 "reslab.cli.main(['--config', 'run.cfg', 'verify', "
                 "'gallagher'])",
-                "reslab.cli.main(['--config', 'run.cfg', 'scan-s'])"):
+                "reslab.cli.main(['--config', 'run.cfg', 'verify', 'afe'])",
+                "reslab.cli.main(['--config', 'run.cfg', 'scan-s'])",
+                "reslab.cli.main(['--config', 'run.cfg', 'afe', '--d', "
+                "'100003'])"):
         code = f"import sys, reslab.cli\n{run}\n{report}"
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=SRC),
@@ -330,6 +337,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         assert proc.stdout.splitlines()[-1] == "[]", run
         if "verify" in run:
             assert proc.stdout.startswith("PASS"), proc.stdout
+        elif "'afe'" in run:
+            assert proc.stdout.startswith("d = 100003: "), proc.stdout
         elif run:
             assert proc.stdout.startswith("csv: "), proc.stdout
 

@@ -33,6 +33,14 @@ class TestBuildParams:
         with pytest.raises(resonator.ParamsError):
             resonator.build_params(10**6, mode="explicit", x=200.0)
 
+    @pytest.mark.parametrize("override", [{"Z": -1.0}, {"Z": 0.0},
+                                          {"L": -2.0}, {"L": 0.0}])
+    def test_explicit_rejects_nonpositive(self, override):
+        # Z <= 0 would reach sqrt(Z / x), L <= 0 the band edges L^(5 pi/3)
+        kw = {"L": 2.0, "x": 200.0, **override}
+        with pytest.raises(resonator.ParamsError):
+            resonator.build_params(10**6, mode="explicit", **kw)
+
     def test_b_quarter_floor(self):
         with pytest.raises(resonator.ParamsError):
             resonator.build_params(10**6, mode="explicit", L=2.0, x=200.0, B=5.0)

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaincc
 
 from reslab import smoothing
+
+# the switch between afe_weight_V's series and its continued fraction
+_V_SWITCH_X = math.sqrt(1.5)
 
 
 class TestPhi:
@@ -152,8 +156,41 @@ class TestAfeWeight:
         assert smoothing.afe_weight_V(0.0) == 1.0
         assert smoothing.afe_weight_V(3.0) == pytest.approx(0.0, abs=1e-4)
         assert smoothing.afe_weight_V(3.0) > 0.0
+        assert smoothing.afe_weight_V(1e200) == 0.0
+        assert smoothing.afe_weight_V(math.inf) == 0.0
 
     def test_monotone_decreasing(self):
         xs = np.linspace(0.0, 4.0, 100)
         vs = [smoothing.afe_weight_V(float(x)) for x in xs]
         assert all(a >= b for a, b in zip(vs, vs[1:]))
+
+    @given(st.floats(0.0, 36.4))
+    @example(_V_SWITCH_X)
+    @example(float(np.nextafter(_V_SWITCH_X, 0.0)))
+    @example(float(np.nextafter(_V_SWITCH_X, 2.0)))
+    @example(0.0)
+    @example(36.4)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gammaincc(self, x):
+        # scipy is a test-only oracle: Q(1/4, x^2) by its own algorithm
+        ref = float(gammaincc(0.25, x * x))
+        v = smoothing.afe_weight_V(x)
+        assert 0.0 <= v <= 1.0
+        if ref >= 1e-300:
+            assert abs(v - ref) <= 1e-12 * ref
+
+    def test_array_matches_scalar(self):
+        # both branches and the underflow in one array, against one call
+        # per element
+        xs = np.concatenate([np.linspace(0.0, 36.4, 1001),
+                             [_V_SWITCH_X, np.nextafter(_V_SWITCH_X, 2.0)]])
+        vs = smoothing.afe_weight_V(xs)
+        assert vs.shape == xs.shape
+        assert vs.tolist() == [smoothing.afe_weight_V(float(x)) for x in xs]
+        assert isinstance(smoothing.afe_weight_V(1.0), float)
+        assert smoothing.afe_weight_V(xs.reshape(17, 59)).tolist() == \
+            vs.reshape(17, 59).tolist()
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            smoothing.afe_weight_V(np.array([1.0, -0.5]))
