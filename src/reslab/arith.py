@@ -85,9 +85,11 @@ class InvalidDiscriminant(ValueError):
 
 
 def check_2d_squarefree(d: int) -> None:
-    """Reject d unless 2d is squarefree (i.e. d odd and squarefree)."""
+    """Reject d unless d is a positive integer with 2d squarefree (i.e. d
+    odd and squarefree)."""
     if d <= 0 or d % 2 == 0 or not is_squarefree(d):
-        raise InvalidDiscriminant(f"2*{d} is not squarefree")
+        raise InvalidDiscriminant(
+            f"d must be a positive odd squarefree integer, got d = {d}")
 
 
 def chi8d(d: int, n: int) -> int:

@@ -34,7 +34,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -730,12 +730,21 @@ def afe_central_value(d: int) -> AfeValue:
 
 
 def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
-    """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1.  The
-    direct part adds the terms (k + x)^(-1/2), k < N, one k at a time."""
+    """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1.
+
+    The direct part adds the terms (k + x)^(-1/2), k < N, one k at a time,
+    each computed in one scratch array the size of x, so a call holds a few
+    arrays of len(x) doubles (dirichlet_l_half passes one residue block).
+    Every element goes through the same operations in the same order
+    whatever the length of x, so the value at x does not depend on its
+    neighbours."""
     s = 0.5
     base = x ** (-s)
+    t = np.empty_like(base)
     for k in range(1, N):
-        base += (k + x) ** (-s)
+        np.add(k, x, out=t)
+        np.power(t, -s, out=t)
+        base += t
     w = N + x
     out = base + w ** (1 - s) / (s - 1) + 0.5 * w ** (-s)
     poch = s
@@ -746,6 +755,11 @@ def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
         poch *= (s + 2 * j - 1) * (s + 2 * j)
     return out
 
+
+# Odd residues mod q per block of dirichlet_l_half: small enough that the
+# block's temporaries stay in L2, large enough that the per-block numpy
+# calls cost little.  The sieves keep the larger arith.SEGMENT.
+_ORACLE_BLOCK = 1 << 15
 
 # chi_{8d}(a) / (a|d) as a function of a mod 8, for d = 1 and d = 3 mod 4:
 # (2|a), times (-1|a) when d = 3 mod 4; zero at even a
@@ -771,10 +785,14 @@ def dirichlet_l_half(d: int) -> float:
 
     chi_{8d} comes from the Jacobi table of d (arith.jacobi_table) by
     reciprocity, not from the kronecker routine the AFE uses.  The odd
-    residues are walked in blocks of arith.SEGMENT, and one math.fsum
-    takes every class's term, so the memory is bounded by a block and
-    the result does not depend on the blocking.  Raises
-    WorkEstimateError for d > MAX_D_EXACT, before any work of size d.
+    residues are walked in blocks of _ORACLE_BLOCK = 2^15, so that the
+    float64 temporaries of the 32 power passes in _hurwitz_half (256 KiB
+    each) fit together in a 2 MiB L2 cache.  Each residue's term goes
+    through the same operations whatever the block, and one math.fsum,
+    which rounds exactly in any order, takes every class's term, so the
+    result is bit-identical for any block size.  Memory beyond the Jacobi
+    table is bounded by one block.  Raises WorkEstimateError for
+    d > MAX_D_EXACT, before any work of size d.
     """
     if d > MAX_D_EXACT:
         raise WorkEstimateError(
@@ -782,10 +800,11 @@ def dirichlet_l_half(d: int) -> float:
     arith.check_2d_squarefree(d)
     q = 8 * d
     jac = arith.jacobi_table(d)
+    span = 2 * _ORACLE_BLOCK
 
     def blocks():
-        for lo in range(0, q, arith.SEGMENT):
-            a = np.arange(lo + 1, min(lo + arith.SEGMENT, q), 2)
+        for lo in range(1, q, span):
+            a = np.arange(lo, min(lo + span, q), 2)
             chi = _chi8d_residues(d, a, jac)
             live = chi != 0
             yield (chi[live] * _hurwitz_half(a[live] / q)).tolist()

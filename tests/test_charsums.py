@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,33 @@ class TestCentralValue:
         # which the vectorized routes reproduce bit for bit
         assert charsums.dirichlet_l_half(100003) == 5.387242243805604
         assert charsums.afe_central_value(100003).value == 5.387242243805603
+
+    @pytest.mark.parametrize("d", [1, 3, 105, 1249, 100003])
+    def test_oracle_independent_of_block(self, d, monkeypatch):
+        # blocks of 2 and 10 residues leave short and empty live sets and
+        # end off the multiples of 8; 2^22 takes every residue in one block.
+        # At d = 100003 blocks of 2 would take 26 s, and blocks of 10
+        # already cut its 400 k residues into 40 k blocks
+        blocks = [10, 1 << 15, 1 << 22]
+        if d < 10**4:
+            blocks.insert(0, 2)
+        values = set()
+        for block in blocks:
+            monkeypatch.setattr(charsums, "_ORACLE_BLOCK", block)
+            values.add(charsums.dirichlet_l_half(d).hex())
+        assert len(values) == 1
+
+    def test_oracle_memory_bounded_by_block(self):
+        # one block of _ORACLE_BLOCK residues holds about 2 MiB; the whole
+        # range of q/2 residues in one block would hold 20 MiB
+        charsums.dirichlet_l_half(100003)
+        tracemalloc.start()
+        try:
+            charsums.dirichlet_l_half(100003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @given(st.sampled_from(_SQUAREFREE_ODD))
     @example(1)

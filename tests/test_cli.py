@@ -290,6 +290,16 @@ class TestErrorPaths:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not os.path.exists(tmp_path / "afe_report.json")
 
+    def test_afe_negative_d_exit_two(self, tmp_path):
+        # -3 is odd and squarefree; the message must name positivity
+        proc = _run_cli(["afe", "--d", "-3"], tmp_path)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "positive" in lines[0]
+        assert not os.path.exists(tmp_path / "afe_report.json")
+
     def test_kernel_guard_exit_three(self, tmp_path):
         # at x = 10^11 sign assignment asks for S(x/p) far above MAX_X; the
         # kernel refuses before it builds its lattice
