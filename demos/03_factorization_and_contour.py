@@ -22,11 +22,11 @@ print(f"low band: {table.pminus}")
 # route two: the Euler-product factorization with certified truncations
 print("\n   s        F_direct           zeta G H           gap")
 for s in (0.3, 0.5, 0.75 + 1.0j, 1.0):
-    fd = analytic.F_direct(s, table)
+    fd, tail = analytic.F_direct(s, table)
     fb, cert = analytic.F_factored_bounded(s, table)
-    gap = abs(fd.value - fb)
-    print(f"  {s!s:10}  {fd.value.real:+.8f}  {fb.real:+.8f}  "
-          f"{gap:.2e} (cert {fd.tail + cert:.2e})")
+    gap = abs(fd - fb)
+    print(f"  {s!s:10}  {fd.real:+.8f}  {fb.real:+.8f}  "
+          f"{gap:.2e} (cert {tail + cert:.2e})")
 
 # route three: Mellin inversion along Re(s) = 1/4 reproduces the lattice
 # sum S(y) that the character-sum pipeline computes directly

@@ -58,11 +58,11 @@ from .analytic import (
     S_via_contour,
     TRIG_MIN,
     contour_shift_check,
+    hurwitz_em,
     resonance_bound,
     sigma2_bound_check,
     trig_product,
     verify_rankin_truncations,
-    zeta_em,
 )
 from .sieve import (
     DirichletPolynomial,

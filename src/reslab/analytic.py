@@ -13,10 +13,12 @@ S(y), the Rankin-style truncation checks, and the resonance-gain /
 contour-shift diagnostic reports.
 
 F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
-scalar or an array of s, builds zeta from zeta_em (the one Euler-Maclaurin
-routine) and H from H_of_s, and returns a certificate per node.  The
-contour, the shift check and the resonance report all call it, each with
-the truncation point its own accuracy needs.
+scalar or an array of s, builds zeta as hurwitz_em(2s+1, 1) and H from
+H_of_s, and returns a certificate per node.  The contour, the shift check
+and the resonance report all call it, each with the truncation point its
+own accuracy needs.  hurwitz_em is the package's one Euler-Maclaurin
+routine; the central-value oracle in charsums takes its Hurwitz values at
+1/2 from it too.
 
 Every truncated quantity comes with an explicit tail certificate; agreement
 tests compare gaps against combined certificates, never against wishes.
@@ -42,40 +44,66 @@ class VanishingFactor(ZeroDivisionError):
 
 
 # --------------------------------------------------------------------------
-# zeta by Euler-Maclaurin
+# Hurwitz zeta by Euler-Maclaurin
 # --------------------------------------------------------------------------
 
 # B_2, B_4, ..., B_24 as exact rationals
-BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-                -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
-                -236364091 / 2730)
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                 -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                 -236364091 / 2730)
 
 
-def zeta_em(s, N: int = 50, K: int = 10):
-    """(zeta(s), remainder bound) by Euler-Maclaurin with K Bernoulli terms,
-    for a scalar s or elementwise over an array of s.
+def hurwitz_em(s, x, N: int, K: int):
+    """(zeta(s, x), remainder bound) by Euler-Maclaurin: the direct terms
+    (k + x)^(-s), k < N, then K Bernoulli terms at w = N + x.  s and x
+    broadcast against each other; a scalar s and x give a scalar pair.
+    zeta(s) is zeta(s, 1) with N - 1 direct terms.
 
-    The remainder is at most |first omitted term| * |s + 2K + 1| / (sigma +
-    2K + 1), valid for sigma = Re(s) > -2K.
+    The direct part adds one term per k, each computed in one scratch array
+    the size of the result, so a call holds a few such arrays, and every
+    element goes through the same operations in the same order whatever
+    the shape it comes in.  So for a scalar s, or for complex s, a node's
+    value does not depend on its neighbours.  An element of a real array s
+    can differ by an ulp from the scalar call: numpy takes a power with a
+    scalar exponent such as 1/2 by a shortcut (sqrt) that may round
+    otherwise than its general power.  The remainder is at most
+
+        |first omitted term| * |s + 2K + 1| / (sigma + 2K + 1),
+
+    valid for sigma = Re(s) > -2K (H. Cohen, Number Theory Vol. II, ch. 9;
+    F. Johansson, Numer. Algorithms 69 (2015)).  Raises ZeroDivisionError
+    at the pole s = 1, AccuracyError for sigma <= -2K + 1 and ValueError
+    for x <= 0.
     """
-    s = np.asarray(s, dtype=complex)
+    scalar = np.ndim(s) == 0 and np.ndim(x) == 0
+    s, x = np.asarray(s), np.atleast_1d(x)
     if np.any(s == 1):
         raise ZeroDivisionError("pole of zeta at s = 1")
     if np.any(s.real <= -2 * K + 1):
         raise AccuracyError(f"Re(s) = {s.real.min()} too far left for K = {K}")
-    n = np.arange(1, N, dtype=float).reshape((-1,) + (1,) * s.ndim)
-    out = np.sum(n ** -s, axis=0) + N ** (1 - s) / (s - 1) + 0.5 * N ** -s
-    poch = s
+    if np.any(x <= 0):
+        raise ValueError(f"need x > 0, got x = {x.min()}")
+    base = x ** (-s)
+    t = np.empty_like(base)
+    for k in range(1, N):
+        np.add(k, x, out=t)
+        np.power(t, -s, out=t)
+        base += t
+    w = N + x
+    out = base + w ** (1 - s) / (s - 1) + 0.5 * w ** (-s)
+    # an array even for a scalar s: numpy's scalar arithmetic rounds
+    # complex products otherwise than its array loops do
+    poch = np.atleast_1d(s)
     fact = 1.0
     for j in range(1, K + 1):
         fact *= (2 * j - 1) * (2 * j)
-        out = out + BERNOULLI_2K[j - 1] / fact * poch * N ** (-s - 2 * j + 1)
+        out += _BERNOULLI_2K[j - 1] / fact * poch * w ** (-s - 2 * j + 1)
         poch = poch * (s + 2 * j - 1) * (s + 2 * j)
     fact *= (2 * K + 1) * (2 * K + 2)
-    bound = (np.abs(BERNOULLI_2K[K] / fact * poch) * N ** (-s.real - 2 * K - 1)
+    bound = (np.abs(_BERNOULLI_2K[K] / fact * poch) * w ** (-s.real - 2 * K - 1)
              * np.abs(s + 2 * K + 1) / (s.real + 2 * K + 1))
-    if s.ndim == 0:
-        return complex(out), float(bound)
+    if scalar:
+        return out.item(), bound.item()
     return out, bound
 
 
@@ -134,8 +162,9 @@ def F_factored_bounded(s, table: CoefficientTable, pmax: int = 200_000):
 
     Returns the value and an absolute certificate per node.  Truncating the
     generic product at pmax moves log G by at most tail = 2 pmax^{-2 sigma
-    - 1} / (2 sigma + 1) (the bound _g_tail_pmax inverts), and zeta carries
-    zeta_em's remainder zb, so the certificate is
+    - 1} / (2 sigma + 1) (the bound _g_tail_pmax inverts), and zeta, taken
+    from hurwitz_em with 49 direct terms and 10 Bernoulli terms, carries
+    its remainder zb, so the certificate is
 
         |zeta G H| (e^tail - 1) + zb |G H| e^tail.
 
@@ -146,7 +175,7 @@ def F_factored_bounded(s, table: CoefficientTable, pmax: int = 200_000):
     if np.any(s.real <= -0.25 + 0.01):
         raise AccuracyError(f"Re(s) = {s.real.min()} too close to the -1/4 line")
     w = 2 * s + 1
-    zv, zb = zeta_em(w)
+    zv, zb = hurwitz_em(w, 1.0, 49, 10)
     # H_of_s raises VanishingFactor where 1 + 2 r~(p) p^{-1/2-s} is zero,
     # the only way a band factor's denominator can vanish
     h = H_of_s(s, table)
@@ -172,15 +201,6 @@ def F_factored_bounded(s, table: CoefficientTable, pmax: int = 200_000):
     if s.ndim == 0:
         return complex(value), float(cert)
     return value, cert
-
-
-@dataclass(frozen=True)
-class FValue:
-    value: complex
-    tail: float
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 @lru_cache(maxsize=8)
@@ -216,8 +236,8 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
 
 
 def F_direct(s: complex, table: CoefficientTable,
-             ell_max: float = 1e6, m_max: int = 20_000) -> FValue:
-    """The double sum
+             ell_max: float = 1e6, m_max: int = 20_000):
+    """(value, tail) of the double sum
 
         F(s) = sum_l c_l l^{-s} sum_{m <= m_max} b(m, l) m^{-1-2s},
         c_l = r~(l) d(l) / sqrt(l),
@@ -263,7 +283,7 @@ def F_direct(s: complex, table: CoefficientTable,
     abs_c = np.abs(weight) * np.exp(-sigma * log_ell)
     m_tail = math.fsum(abs_c.tolist()) * m_max ** (-2 * sigma) / (2 * sigma)
     ell_tail = ell_max ** (-sigma) * big
-    return FValue(total, m_tail + ell_tail)
+    return total, m_tail + ell_tail
 
 
 # --------------------------------------------------------------------------

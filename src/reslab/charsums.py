@@ -35,12 +35,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import __version__, arith, resonator, smoothing
-from .analytic import BERNOULLI_2K
+from .analytic import hurwitz_em
 from .resonator import CoefficientTable, ResonatorParams, SignState
 
 
@@ -56,12 +55,6 @@ class EmptyFamilyError(RuntimeError):
 # resonator.MAX_SUPPORT, which support enumeration enforces too
 MAX_D_EXACT = 10**8
 MAX_X = 10**6
-
-
-@lru_cache(maxsize=100_000)
-def _char_table(n: int) -> np.ndarray:
-    """(m|n) for m = 0..n-1, n odd positive; the symbol is periodic mod n."""
-    return arith.jacobi_table(n)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +302,7 @@ def _scan_state(params, table):
     return {
         "support": support,
         "truncation": truncation,
-        "primes": [(p, _char_table(p))
+        "primes": [(p, arith.jacobi_table(p))
                    for p in sorted(n for n, p in least.items() if n == p)],
         "composites": sorted((n, p) for n, p in least.items() if n != p),
     }
@@ -582,17 +575,6 @@ class RatioReport:
     admissible: int = 0
     sum_rplus_sq: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N, "Den": self.Den, "ratio": self.ratio,
-            "sigma1": self.sigma1, "sigma2": self.sigma2,
-            "offdiag_bound_observed": self.offdiag_bound_observed,
-            "extremal_d": self.extremal_d,
-            "extremal_value": self.extremal_value,
-            "admissible": self.admissible,
-            "sum_rplus_sq": self.sum_rplus_sq,
-        }
-
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState,
@@ -640,7 +622,7 @@ def orthogonality_check(n: int, D: float) -> tuple[float, float, float]:
     lo, hi = int(D // 2) + 1, int(D)
     exact = 0.0
     if n % 2 == 1:
-        tab = _char_table(n)
+        tab = arith.jacobi_table(n)
         parts = []
         for a in range(lo, hi + 1, arith.SEGMENT):
             b = min(a + arith.SEGMENT - 1, hi)
@@ -729,33 +711,6 @@ def afe_central_value(d: int) -> AfeValue:
     return AfeValue(value, max(math.exp(log_tail), math.ulp(0.0)), nmax)
 
 
-def _hurwitz_half(x: np.ndarray, N: int = 24, K: int = 6) -> np.ndarray:
-    """zeta(1/2, x) by Euler-Maclaurin, vectorized over 0 < x <= 1.
-
-    The direct part adds the terms (k + x)^(-1/2), k < N, one k at a time,
-    each computed in one scratch array the size of x, so a call holds a few
-    arrays of len(x) doubles (dirichlet_l_half passes one residue block).
-    Every element goes through the same operations in the same order
-    whatever the length of x, so the value at x does not depend on its
-    neighbours."""
-    s = 0.5
-    base = x ** (-s)
-    t = np.empty_like(base)
-    for k in range(1, N):
-        np.add(k, x, out=t)
-        np.power(t, -s, out=t)
-        base += t
-    w = N + x
-    out = base + w ** (1 - s) / (s - 1) + 0.5 * w ** (-s)
-    poch = s
-    fact = 1.0
-    for j in range(1, K + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        out += BERNOULLI_2K[j - 1] / fact * poch * w ** (-s - 2 * j + 1)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    return out
-
-
 # Odd residues mod q per block of dirichlet_l_half: small enough that the
 # block's temporaries stay in L2, large enough that the per-block numpy
 # calls cost little.  The sieves keep the larger arith.SEGMENT.
@@ -781,16 +736,18 @@ def _chi8d_residues(d: int, a: np.ndarray, jac: np.ndarray) -> np.ndarray:
 def dirichlet_l_half(d: int) -> float:
     """Independent oracle for L(1/2, chi_{8d}): the Dirichlet series summed
     by residue classes mod q = 8d, with each class's tail handled by
-    partial summation in Euler-Maclaurin form (Hurwitz values at 1/2).
+    partial summation in Euler-Maclaurin form: Hurwitz values at 1/2 from
+    analytic.hurwitz_em with 24 direct terms and 6 Bernoulli terms, whose
+    remainder bound is dropped.
 
     chi_{8d} comes from the Jacobi table of d (arith.jacobi_table) by
     reciprocity, not from the kronecker routine the AFE uses.  The odd
     residues are walked in blocks of _ORACLE_BLOCK = 2^15, so that the
-    float64 temporaries of the 32 power passes in _hurwitz_half (256 KiB
-    each) fit together in a 2 MiB L2 cache.  Each residue's term goes
-    through the same operations whatever the block, and one math.fsum,
-    which rounds exactly in any order, takes every class's term, so the
-    result is bit-identical for any block size.  Memory beyond the Jacobi
+    float64 temporaries of hurwitz_em's power passes (256 KiB each) fit
+    together in a 2 MiB L2 cache.  Each residue's term goes through the
+    same operations whatever the block, and one math.fsum, which rounds
+    exactly in any order, takes every class's term, so the result is
+    bit-identical for any block size.  Memory beyond the Jacobi
     table is bounded by one block.  Raises WorkEstimateError for
     d > MAX_D_EXACT, before any work of size d.
     """
@@ -807,6 +764,6 @@ def dirichlet_l_half(d: int) -> float:
             a = np.arange(lo, min(lo + span, q), 2)
             chi = _chi8d_residues(d, a, jac)
             live = chi != 0
-            yield (chi[live] * _hurwitz_half(a[live] / q)).tolist()
+            yield (chi[live] * hurwitz_em(0.5, a[live] / q, 24, 6)[0]).tolist()
 
     return q**-0.5 * math.fsum(itertools.chain.from_iterable(blocks()))

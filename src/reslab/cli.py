@@ -379,10 +379,10 @@ def _suite_factorization(cfg):
     worst = 0.0
     for s in (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
               1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j):
-        fd = analytic.F_direct(complex(s), table)
+        fd, ftail = analytic.F_direct(complex(s), table)
         ff, fcert = analytic.F_factored_bounded(complex(s), table)
-        gap = abs(fd.value - ff)
-        cert = 1e-6 + fd.tail + fcert
+        gap = abs(fd - ff)
+        cert = 1e-6 + ftail + fcert
         assert gap <= cert, f"s = {s}: gap {gap} > cert {cert}"
         worst = max(worst, gap - cert)
         rows.append({"s": str(s), "gap": gap, "cert": cert})
@@ -403,7 +403,7 @@ def _suite_contour(cfg):
 
 def _suite_gallagher(cfg):
     rep = sieve.sieve_inequality_check(25, seed=cfg.seed, sigma=0.25)
-    return rep.to_dict()
+    return asdict(rep)
 
 
 def _suite_afe(cfg):

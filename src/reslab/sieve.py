@@ -270,11 +270,6 @@ class SieveReport:
     trials: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "inf_fhat_sq": self.inf_fhat_sq,
-                "worst_ratio": self.worst_ratio, "trials": self.trials,
-                "seed": self.seed}
-
 
 def random_polynomial(rng: np.random.Generator, max_len: int = 50,
                       n_max: int = 10_000) -> DirichletPolynomial:

@@ -1,4 +1,4 @@
-"""Analytic layer: certified zeta, the Euler-product factorization,
+"""Analytic layer: certified Hurwitz zeta, the Euler-product factorization,
 contour evaluation, truncation checks, and the resonance lower bound."""
 
 import cmath
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reslab import analytic, arith, resonator, smoothing
 
@@ -56,11 +56,26 @@ def _literal_F(s, table, ell_max, m_max):
 
 
 def _zeta(s):
-    """zeta(s) from zeta_em at its default cutoff, held to a 1e-10
-    remainder certificate."""
-    value, bound = analytic.zeta_em(s)
+    """zeta(s) = zeta(s, 1) from hurwitz_em at the cutoff F_factored_bounded
+    uses (w = 50, K = 10), held to a 1e-10 remainder certificate."""
+    value, bound = analytic.hurwitz_em(s, 1.0, 49, 10)
     assert bound <= 1e-10
     return value
+
+
+def _rounding(s, x, N):
+    """A rounding allowance for hurwitz_em(s, x, N, K), K <= 12: its value
+    is a running sum of the N direct terms and K + 2 Euler-Maclaurin terms,
+    each a complex power off by at most about (1 + |s| log w) ulps of its
+    modulus, and each of the N + K + 2 steps of the sum adds at most one
+    ulp of the partial sum.  So 2^-52 (N + 16 + |s| log w) times the sum of
+    the moduli of the direct terms and of the leading terms w^(1-s)/(s-1)
+    and w^(-s)/2 covers it, w = N + x."""
+    s = complex(s)
+    w = N + x
+    mags = (math.fsum((k + x) ** -s.real for k in range(N))
+            + w ** (1.0 - s.real) / abs(s - 1.0) + w ** -s.real)
+    return 2.0**-52 * (N + 16 + abs(s) * math.log(w)) * mags
 
 
 def _g(s, table, accuracy):
@@ -68,7 +83,7 @@ def _g(s, table, accuracy):
     where its log tail is at most `accuracy`."""
     pmax = analytic._g_tail_pmax(float(np.min(np.real(s))), accuracy)
     f, _ = analytic.F_factored_bounded(s, table, pmax)
-    return f / (analytic.zeta_em(2 * np.asarray(s) + 1)[0]
+    return f / (analytic.hurwitz_em(2 * np.asarray(s) + 1, 1.0, 49, 10)[0]
                 * analytic.H_of_s(s, table))
 
 
@@ -89,8 +104,8 @@ class TestZeta:
 
     def test_certificate_honest(self):
         for s in (0.6 + 3.0j, 1.5 - 7.0j, 0.5 + 20.0j):
-            v50, b50 = analytic.zeta_em(s, N=50, K=10)
-            v2000, _ = analytic.zeta_em(s, N=2000, K=10)
+            v50, b50 = analytic.hurwitz_em(s, 1.0, 49, 10)
+            v2000, _ = analytic.hurwitz_em(s, 1.0, 1999, 10)
             # the certificate covers truncation; the long reference sum
             # carries its own float roundoff, allowed for separately
             assert abs(v50 - v2000) <= b50 + 2000 * 1e-16
@@ -106,14 +121,91 @@ class TestZeta:
                 1.0, abs=5e-3)
 
     def test_vectorized_matches_scalar(self):
+        # every node goes through the same operations whatever the shape it
+        # comes in, so the array result equals the scalar calls exactly
         s = np.array([[0.75 + 2.0j, 1.25 - 4.0j, 2.0 + 0.0j],
                       [0.5 + 30.0j, 1.5 + 0.0j, 3.0 - 1.0j]])
-        vec, bounds = analytic.zeta_em(s)
+        vec, bounds = analytic.hurwitz_em(s, 1.0, 49, 10)
         assert vec.shape == bounds.shape == s.shape
         for sv, vv, bv in zip(s.ravel(), vec.ravel(), bounds.ravel()):
-            value, bound = analytic.zeta_em(complex(sv))
-            assert complex(vv) == pytest.approx(value, rel=1e-12)
-            assert float(bv) == pytest.approx(bound, rel=1e-12)
+            value, bound = analytic.hurwitz_em(complex(sv), 1.0, 49, 10)
+            assert complex(vv) == value
+            assert float(bv) == bound
+
+
+class TestHurwitz:
+    POINTS = (2.0, 0.25, 0.5 + 3.0j, 1.5 - 7.0j, -1.5 + 10.0j, 3.0 - 20.0j,
+              -6.0 + 0.5j)
+
+    # a short cutoff, so the remainders are far above the rounding and the
+    # identities check the bounds: the gaps below reach 20-98 % of them
+    N, K = 6, 4
+
+    @pytest.mark.parametrize("s", POINTS)
+    def test_duplication_at_half(self, s):
+        # zeta(s, 1/2) = (2^s - 1) zeta(s, 1)
+        half, bh = analytic.hurwitz_em(s, 0.5, self.N, self.K)
+        one, bo = analytic.hurwitz_em(s, 1.0, self.N, self.K)
+        factor = 2.0**s - 1.0
+        allowed = (bh + abs(factor) * bo + _rounding(s, 0.5, self.N)
+                   + abs(factor) * _rounding(s, 1.0, self.N))
+        assert abs(half - factor * one) <= allowed
+
+    @pytest.mark.parametrize("s", POINTS)
+    @pytest.mark.parametrize("x", (0.125, 0.5, 1.0))
+    def test_shift_by_one(self, s, x):
+        # zeta(s, x) = x^(-s) + zeta(s, x + 1): the two sides stop their
+        # direct parts at different w, so the remainders differ
+        left, bl = analytic.hurwitz_em(s, x, self.N, self.K)
+        right, br = analytic.hurwitz_em(s, x + 1.0, self.N, self.K)
+        allowed = (bl + br + _rounding(s, x, self.N)
+                   + _rounding(s, x + 1.0, self.N) + 2.0**-52 * abs(x ** -s))
+        assert abs(left - (x ** -s + right)) <= allowed
+
+    # x stays above 2^-30 because x^(-s) overflows doubles for subnormal x,
+    # and s stays off a 1e-6 disc around the pole, where w^(1-s)/(s-1) does
+    @given(x=st.floats(2.0**-30, 1.0),
+           sigma=st.floats(-9.0, 4.0, exclude_min=True),
+           t=st.floats(-50.0, 50.0))
+    @example(x=1.0, sigma=0.5, t=0.0)
+    @example(x=2.0**-30, sigma=4.0, t=50.0)
+    @example(x=0.5, sigma=1.0, t=1e-6)
+    @settings(max_examples=60, deadline=None)
+    def test_bound_covers_truncation(self, x, sigma, t):
+        s = complex(sigma, t)
+        assume(abs(s - 1.0) >= 1e-6)
+        v24, b24 = analytic.hurwitz_em(s, x, 24, 6)
+        v2000, _ = analytic.hurwitz_em(s, x, 2000, 6)
+        allowed = b24 + _rounding(s, x, 24) + _rounding(s, x, 2000)
+        assert abs(v24 - v2000) <= allowed
+
+    def test_array_matches_scalar(self):
+        s = np.array([[0.5 + 3.0j], [-2.5 - 40.0j], [2.0 + 0.0j]])
+        x = np.array([0.1, 0.5, 1.0, 0.999])
+        vec, bounds = analytic.hurwitz_em(s, x, 24, 6)
+        assert vec.shape == bounds.shape == (3, 4)
+        for i, j in np.ndindex(vec.shape):
+            value, bound = analytic.hurwitz_em(complex(s[i, 0]), float(x[j]),
+                                               24, 6)
+            assert complex(vec[i, j]) == value
+            assert float(bounds[i, j]) == bound
+        # real s over an array of x, as the central-value oracle calls it
+        vec, bounds = analytic.hurwitz_em(0.5, x, 24, 6)
+        assert vec.dtype == float
+        for xv, vv, bv in zip(x, vec, bounds):
+            assert (float(vv), float(bv)) == analytic.hurwitz_em(
+                0.5, float(xv), 24, 6)
+
+    def test_guards(self):
+        with pytest.raises(ZeroDivisionError):
+            analytic.hurwitz_em(np.array([2.0, 1.0]), 0.5, 24, 6)
+        with pytest.raises(smoothing.AccuracyError):
+            analytic.hurwitz_em(-11.0 + 3.0j, 0.5, 24, 6)
+        analytic.hurwitz_em(-10.5, 0.5, 24, 6)  # just right of the guard
+        with pytest.raises(ValueError):
+            analytic.hurwitz_em(0.5, np.array([0.5, 0.0]), 24, 6)
+        with pytest.raises(ValueError):
+            analytic.hurwitz_em(0.5, -0.25, 24, 6)
 
 
 class TestH:
@@ -144,9 +236,9 @@ class TestG:
     def test_empty_band_series_route(self, empty_band_table):
         # with no band primes F = zeta(2s+1) G, so the truncated double
         # sum provides an independent route to G(1)
-        fd = analytic.F_direct(1.0, empty_band_table)
-        g = fd.value / _zeta(3.0)
-        assert abs(g - 0.9889390562188791) <= fd.tail + 1e-9
+        fd, tail = analytic.F_direct(1.0, empty_band_table)
+        g = fd / _zeta(3.0)
+        assert abs(g - 0.9889390562188791) <= tail + 1e-9
 
     def test_domain_guard(self, desk_table):
         with pytest.raises(smoothing.AccuracyError):
@@ -167,9 +259,9 @@ class TestFactorization:
 
     @pytest.mark.parametrize("s", GRID)
     def test_direct_equals_factored(self, desk_table, s):
-        fd = analytic.F_direct(s, desk_table)
+        fd, tail = analytic.F_direct(s, desk_table)
         fb, cert = analytic.F_factored_bounded(s, desk_table)
-        assert abs(fd.value - fb) <= fd.tail + cert + 1e-6
+        assert abs(fd - fb) <= tail + cert + 1e-6
 
     @given(which=st.sampled_from(("small", "three", "three_l3")),
            sigma=st.floats(0.05, 2.0), t=st.floats(-30.0, 30.0),
@@ -184,15 +276,15 @@ class TestFactorization:
         table = {"small": small_table, "three": three_prime_table,
                  "three_l3": three_prime_l3_table}[which]
         s = complex(sigma, t)
-        fd = analytic.F_direct(s, table, ell_max=ell_max, m_max=m_max)
+        fd, fd_tail = analytic.F_direct(s, table, ell_max=ell_max, m_max=m_max)
         value, tail = _literal_F(s, table, ell_max, m_max)
-        assert abs(fd.value - value) <= 1e-12 * abs(value)
-        assert fd.tail == pytest.approx(tail, rel=1e-12)
+        assert abs(fd - value) <= 1e-12 * abs(value)
+        assert fd_tail == pytest.approx(tail, rel=1e-12)
 
     def test_schwarz_reflection(self, desk_table):
         s = 0.6 + 2.5j
-        a = analytic.F_direct(s, desk_table).value
-        b = analytic.F_direct(s.conjugate(), desk_table).value
+        a, _ = analytic.F_direct(s, desk_table)
+        b, _ = analytic.F_direct(s.conjugate(), desk_table)
         assert b == pytest.approx(a.conjugate(), rel=1e-12)
 
     def test_empty_band_structure(self, empty_band_table):
@@ -220,12 +312,12 @@ class TestFactorization:
 
     def test_certificate_covers_zeta_remainder(self, three_prime_table):
         # far up the line the Euler-Maclaurin remainder of zeta(2s+1) at
-        # its default cutoff dominates the certificate; the same product
-        # with zeta at N = 400 (remainder below 1e-17) is the reference
+        # the cutoff w = 50 dominates the certificate; the same product
+        # with zeta at w = 400 (remainder below 1e-17) is the reference
         s = 0.25 + 100.0j
         value, cert = analytic.F_factored_bounded(s, three_prime_table)
-        z50, _ = analytic.zeta_em(2 * s + 1)
-        z400, b400 = analytic.zeta_em(2 * s + 1, N=400)
+        z50, _ = analytic.hurwitz_em(2 * s + 1, 1.0, 49, 10)
+        z400, b400 = analytic.hurwitz_em(2 * s + 1, 1.0, 399, 10)
         assert b400 < 1e-15
         gap = abs(value - value / z50 * z400)
         assert gap > 1e-8

@@ -409,7 +409,7 @@ class TestRatioPipeline:
         assert rep.extremal_value == pytest.approx(
             -0.709310344985197, rel=1e-12)
         assert rep.admissible == 40
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["ratio"] == rep.ratio and d["extremal_d"] == 181
 
     def test_desk_report(self, desk_params, desk_table, desk_signs):

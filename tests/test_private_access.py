@@ -135,13 +135,13 @@ def test_detector_flags_reaches(tmp_path):
         "from reslab import analytic, charsums as cs\n"
         "from reslab.arith import _helper, kronecker\n"
         "analytic._g_tail_pmax(0.25, 1e-7)\n"
-        "cs._hurwitz_half\n"
+        "cs._chi8d_residues\n"
         "sv._gauss_order\n"
         "reslab.smoothing._mellin_raw\n"
         "reslab.__version__\n"
         "analytic.F_direct\n")
     assert sorted(private_reaches(demo)) == [
-        "analytic._g_tail_pmax", "arith._helper", "charsums._hurwitz_half",
+        "analytic._g_tail_pmax", "arith._helper", "charsums._chi8d_residues",
         "sieve._gauss_order", "smoothing._mellin_raw"]
 
 

@@ -3,6 +3,7 @@ Fourier data, the admissible frequency window, and the mean-value
 inequality on random Dirichlet polynomials."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ class TestInequality:
         assert rep.worst_ratio <= 1.0
         assert rep.worst_ratio == pytest.approx(
             0.005014467628820947, rel=1e-10)
-        assert rep.to_dict()["seed"] == 12345
+        assert asdict(rep)["seed"] == 12345
 
     @pytest.mark.parametrize("sigma", sieve.SIGMA_GRID)
     def test_holds_on_every_sigma(self, sigma):
