@@ -16,9 +16,10 @@ F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
 scalar or an array of s, builds zeta as hurwitz_em(2s+1, 1) and H from
 H_of_s, and returns a certificate per node.  The contour, the shift check
 and the resonance report all call it, each with the truncation point its
-own accuracy needs.  hurwitz_em is the package's one Euler-Maclaurin
-routine; the central-value oracle in charsums takes its Hurwitz values at
-1/2 from it too.
+own accuracy needs; both contours take their lines from one vertical-line
+integral, which evaluates phi~ and F once per line for any number of y.
+hurwitz_em is the package's one Euler-Maclaurin routine; the central-value
+oracle in charsums takes its Hurwitz values at 1/2 from it too.
 
 Every truncated quantity comes with an explicit tail certificate; agreement
 tests compare gaps against combined certificates, never against wishes.
@@ -129,8 +130,7 @@ def _odd_primes_to(pmax: int) -> np.ndarray:
     return arith.primes_up_to(pmax)[1:].astype(np.int64)
 
 
-def _g_tail_pmax(sigma: float, accuracy: float,
-                 cap: int = 2_000_000) -> int:
+def _g_tail_pmax(sigma: float, accuracy: float) -> int:
     """Smallest truncation point with tail sum of |log factor| <= accuracy.
 
     Each omitted log factor is at most 2 p^{-2 sigma - 2} in modulus, and
@@ -141,9 +141,9 @@ def _g_tail_pmax(sigma: float, accuracy: float,
     if e <= 0:
         raise AccuracyError(f"Re(s) = {sigma} at or left of the -1/4 line")
     pmax = (2.0 / (e * accuracy)) ** (1.0 / e)
-    if pmax > cap:
+    if pmax > 2_000_000:
         raise AccuracyError(
-            f"G tail needs primes to {pmax:.3e} > cap {cap} for accuracy "
+            f"G tail needs primes to {pmax:.3e} > cap 2000000 for accuracy "
             f"{accuracy:.1e} at Re(s) = {sigma}")
     return max(int(pmax) + 1, 100)
 
@@ -290,32 +290,55 @@ def F_direct(s: complex, table: CoefficientTable,
 # contour evaluation of S(y)
 # --------------------------------------------------------------------------
 
+_SIGMA_LINE = 0.25     # the right line Re(s) = 1/4
+_LINE_ACCURACY = 1e-7  # the log tail of G on the right line
+_TMAX = 200.0          # both lines end at |t| = 200
+_N_CIRCLE = 512        # trapezoid points on the circle around the pole
+
+
+def _vertical_line(ys, sigma: float, table: CoefficientTable, g_acc: float):
+    """int_0^200 of Re and of |.| of y^s phi~(s) F(s), s = sigma + it, as
+    arrays over ys, and F on the nodes.  phi~ and F (G's log tail g_acc) are
+    evaluated once; each y keeps its own dot, as a matrix product would
+    reassociate the sums."""
+    nodes, weights = smoothing.vertical_line_nodes(_TMAX)
+    s = sigma + 1j * nodes
+    mell = smoothing.mellin_phi(s)
+    fv, _ = F_factored_bounded(s, table, _g_tail_pmax(sigma, g_acc))
+    re_int, abs_int = [], []
+    for y in ys:
+        integ = np.exp(s * math.log(y)) * mell * fv
+        re_int.append(np.dot(weights, np.real(integ)))
+        abs_int.append(np.dot(weights, np.abs(integ)))
+    return np.array(re_int), np.array(abs_int), fv
+
+
 @dataclass(frozen=True)
 class ContourValue:
-    value: float
-    err_estimate: float
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
 
 
-def S_via_contour(y: float, table: CoefficientTable, sigma_line: float = 0.25,
-                  tmax: float = 200.0, accuracy: float = 1e-7) -> ContourValue:
-    """S(y) as (1/2 pi i) int y^s phi~(s) F(s) ds on Re(s) = sigma_line,
-    with F evaluated through the factorization.  Dual route to the direct
+def S_via_contour(y, table: CoefficientTable) -> ContourValue:
+    """S(y) as (1/2 pi i) int y^s phi~(s) F(s) ds on Re(s) = 1/4, with F
+    evaluated through the factorization.  Dual route to the direct
     lattice sum; the error estimate combines the quadrature tail (decay of
-    phi~) with the G truncation certificate.
+    phi~ beyond |t| = 200) with the G truncation certificate.
+
+    y is a scalar, giving float fields, or an array of y, giving arrays;
+    phi~ and F are evaluated once per call, whatever the number of y.
     """
-    if sigma_line <= 0:
-        raise ValueError("need sigma_line > 0 (right of the pole)")
-    nodes, weights = smoothing.vertical_line_nodes(tmax)
-    s = sigma_line + 1j * nodes
-    mell = smoothing.mellin_phi(s, accuracy=1e-10)
-    fv, _ = F_factored_bounded(s, table, _g_tail_pmax(sigma_line, accuracy))
-    integ = np.real(np.exp(s * math.log(y)) * mell * fv)
-    # even in t by Schwarz reflection: double the t > 0 half-line
-    val = float(np.dot(weights, integ)) / math.pi
-    tail_phi = abs(smoothing.mellin_phi(complex(sigma_line, tmax), accuracy=1e-10))
+    ys = [float(v) for v in np.atleast_1d(y)]
+    re_int, _, fv = _vertical_line(ys, _SIGMA_LINE, table, _LINE_ACCURACY)
+    tail_phi = abs(smoothing.mellin_phi(complex(_SIGMA_LINE, _TMAX)))
     supf = float(np.max(np.abs(fv)))
-    err = y ** sigma_line * (tail_phi * supf * 10.0 + 2 * tmax * accuracy * supf) / math.pi
-    return ContourValue(val, err)
+    bound = tail_phi * supf * 10.0 + 2 * _TMAX * _LINE_ACCURACY * supf
+    # even in t by Schwarz reflection: double the t > 0 half-line
+    value = re_int / math.pi
+    err = np.array([v ** _SIGMA_LINE for v in ys]) * bound / math.pi
+    if np.ndim(y) == 0:
+        return ContourValue(float(value[0]), float(err[0]))
+    return ContourValue(value, err)
 
 
 @dataclass(frozen=True)
@@ -330,11 +353,11 @@ class ContourShiftReport:
 
 
 def contour_shift_check(y: float, table: CoefficientTable,
-                        params: ResonatorParams,
-                        n_circle: int = 512, tmax: float = 200.0) -> ContourShiftReport:
+                        params: ResonatorParams) -> ContourShiftReport:
     """Shift the line to Re(s) = -1/(log log D)^2: a small circle at the
     origin picks up the pole, the shifted line carries the rest, and the sum
-    must reproduce the right-line value."""
+    must reproduce the right-line value S_via_contour(y).  The circle takes
+    512 trapezoid points; the shifted line cuts G at a log tail of 1e-3."""
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
     if sigma_left <= -0.24:
@@ -343,7 +366,7 @@ def contour_shift_check(y: float, table: CoefficientTable,
     rho = min(1.0 / math.log(max(params.x, y, 3.0)), 0.15)
 
     # closed circle, trapezoid (spectrally accurate for a contour integral)
-    th = np.arange(n_circle) * (2 * math.pi / n_circle)
+    th = np.arange(_N_CIRCLE) * (2 * math.pi / _N_CIRCLE)
     s = rho * np.exp(1j * th)
     mell = smoothing.mellin_phi(s)
     fv, fcert = F_factored_bounded(s, table)
@@ -351,18 +374,13 @@ def contour_shift_check(y: float, table: CoefficientTable,
     circ = np.mean(np.exp(s * math.log(y)) * mell * fv * s).real
 
     g_acc = 1e-3  # the shifted line sits near the domain edge; tail is costly
-    nodes, weights = smoothing.vertical_line_nodes(tmax)
-    sL = sigma_left + 1j * nodes
-    mellL = smoothing.mellin_phi(sL)
-    fvL, _ = F_factored_bounded(sL, table, _g_tail_pmax(sigma_left, g_acc))
-    integ = np.exp(sL * math.log(y)) * mellL * fvL
-    shifted = float(np.dot(weights, np.real(integ))) / math.pi
+    re_int, abs_int, _ = _vertical_line([y], sigma_left, table, g_acc)
+    shifted = float(re_int[0]) / math.pi
     # truncating log G at accuracy g_acc perturbs each node relatively;
     # weight that by the decaying integrand rather than its sup
-    line_cert = (math.exp(g_acc) - 1.0) * float(
-        np.dot(weights, np.abs(integ))) / math.pi
+    line_cert = (math.exp(g_acc) - 1.0) * float(abs_int[0]) / math.pi
 
-    right = S_via_contour(y, table, tmax=tmax)
+    right = S_via_contour(y, table)
     total = circ + shifted
     cert = right.err_estimate + line_cert + circ_cert + 1e-6
     return ContourShiftReport(y, circ, shifted, total, right.value,
@@ -383,8 +401,7 @@ class RankinReport:
 
 
 def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
-                              M1: float | None = None,
-                              M2: float | None = None) -> RankinReport:
+                              M1: float | None = None) -> RankinReport:
     """Three finite checks on the resonator coefficient mass.
 
     (i)  sum over all band-smooth squarefree n of |r(n)| d(n)/sqrt(n)
@@ -392,8 +409,8 @@ def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
     (ii) the tail beyond M1 obeys the Rankin bound
          M1^{-alpha} prod_p (1 + 2|r(p)| p^{alpha - 1/2}),
          alpha = 1/(log log D)^2;
-    (iii) sum_{n <= M2} r(n)^2 g(n) approaches prod(1 + r(p)^2 g(p)) for
-         g = 1 and g(p) = p/(p+1).
+    (iii) sum over all of them of r(n)^2 g(n) equals prod(1 + r(p)^2 g(p))
+         for g = 1 and g(p) = p/(p+1).
 
     Enumerates every smooth integer, so the table must be small.
     """
@@ -426,21 +443,15 @@ def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
         rank *= 1.0 + 2.0 * abs(rvals[p]) * p ** (alpha - 0.5)
     tail_rhs = M1 ** -alpha * rank
 
-    if M2 is None:
-        M2 = max(n for n, _ in items)
     gaps = []
     for g in (lambda p: 1.0, lambda p: p / (p + 1.0)):
-        ssum = math.fsum(v * v * math.prod(g(q) for q in _prime_list(n, primes))
-                         for n, v in items if n <= M2)
+        ssum = math.fsum(v * v * math.prod(g(q) for q in primes if n % q == 0)
+                         for n, v in items)
         sprod = 1.0
         for p in primes:
             sprod *= 1.0 + rvals[p] ** 2 * g(p)
         gaps.append(abs(ssum - sprod) / sprod)
     return RankinReport(identity_gap, tail_lhs, tail_rhs, gaps[0], gaps[1])
-
-
-def _prime_list(n: int, primes) -> list:
-    return [p for p in primes if n % p == 0]
 
 
 # --------------------------------------------------------------------------
@@ -466,10 +477,11 @@ class ResonanceReport:
     trig_min_observed: float
 
 
-def resonance_bound(table: CoefficientTable, params: ResonatorParams,
-                    t_window: float | None = None, grid: int = 41) -> ResonanceReport:
-    """Evaluate |F(sigma + it)|^2 / prod(1 + 2|r~(p)|/sqrt(p)) near the
-    resonance point t = 1/(2 log L), sigma = 1/(log x)^2, and the band sum
+def resonance_bound(table: CoefficientTable,
+                    params: ResonatorParams) -> ResonanceReport:
+    """Evaluate |F(sigma + it)|^2 / prod(1 + 2|r~(p)|/sqrt(p)) on 41 points
+    of t within 1/(log log D)^2 of the resonance point t = 1/(2 log L),
+    sigma = 1/(log x)^2, and the band sum
     sum_p (1 + cos theta_p + cos 2 theta_p)/(p log p), with
     theta_p = log p / (2 log L) in [5 pi/6, 7 pi/6).
     The trig identity makes every band summand at least (3 - sqrt(3))/2
@@ -477,13 +489,12 @@ def resonance_bound(table: CoefficientTable, params: ResonatorParams,
     """
     L = params.L
     t0 = 1.0 / (2.0 * math.log(L))
-    if t_window is None:
-        t_window = 1.0 / math.log(math.log(params.D)) ** 2
+    t_window = 1.0 / math.log(math.log(params.D)) ** 2
     sigma = 1.0 / math.log(params.x) ** 2
     denom = 1.0
     for p in table.pminus:
         denom *= 1.0 + 2.0 * abs(resonator.r_tilde(p, table)) / math.sqrt(p)
-    ts = np.linspace(t0 - t_window, t0 + t_window, grid)
+    ts = np.linspace(t0 - t_window, t0 + t_window, 41)
     fv, _ = F_factored_bounded(sigma + 1j * ts, table, _g_tail_pmax(sigma, 1e-6))
     ratios = np.abs(fv) ** 2 / denom
     i = int(np.argmax(ratios))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default working window for segmented sieves, in integers.
+# Working window for segmented sieves, in integers.
 SEGMENT = 1 << 22
 
 
@@ -134,18 +134,18 @@ def primes_in(lo: float, hi: float) -> np.ndarray:
     return ps[(ps >= lo) & (ps < hi)]
 
 
-def squarefree_sieve(lo: int, hi: int, segment: int = SEGMENT) -> np.ndarray:
+def squarefree_sieve(lo: int, hi: int) -> np.ndarray:
     """Indicator array for mu^2(n), n in [lo, hi] inclusive.
 
-    Segmented: memory proportional to min(segment, hi-lo) plus sqrt(hi).
+    The sieve walks the output in windows of SEGMENT integers.
     """
     lo, hi = int(lo), int(hi)
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got ({lo}, {hi})")
     out = np.ones(hi - lo + 1, dtype=np.uint8)
     ps = primes_up_to(math.isqrt(hi))
-    for start in range(lo, hi + 1, segment):
-        stop = min(start + segment - 1, hi)
+    for start in range(lo, hi + 1, SEGMENT):
+        stop = min(start + SEGMENT - 1, hi)
         view = out[start - lo : stop - lo + 1]
         for p in ps:
             p2 = int(p) * int(p)

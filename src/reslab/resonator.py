@@ -300,17 +300,15 @@ def assign_signs(table: CoefficientTable, s_evaluator) -> SignState:
     return SignState(MappingProxyType(eps), MappingProxyType(svals))
 
 
-def enumerate_support(table: CoefficientTable, Z: float | None = None,
+def enumerate_support(table: CoefficientTable,
                       cap: int = MAX_SUPPORT) -> tuple[tuple[int, float], ...]:
-    """All n <= Z that are products of distinct band primes, with r(n).
+    """All n <= params.Z that are products of distinct band primes, with r(n).
 
     Depth-first products with early cutoff; sorted by n.  High-band primes
     require signs to have been assigned.  Raises SupportTooLarge as soon as
     more than `cap` entries are found.
     """
-    params = table.params
-    if Z is None:
-        Z = params.Z
+    Z = table.params.Z
     primes = sorted(set(table.pminus) | set(table.pplus))
     for p in table.pplus:
         if p not in table.r_at_prime:

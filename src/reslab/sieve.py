@@ -70,15 +70,14 @@ def _gauss_order(c: float, target: float) -> int:
         f" = {c:.3g} at target {target:.1e}")
 
 
-def lhs_integral(P: DirichletPolynomial, alpha: float,
-                 accuracy: float = 1e-9) -> float:
+def lhs_integral(P: DirichletPolynomial, alpha: float) -> float:
     """int_{-alpha}^{alpha} |P(t)|^2 dt, twice over.
 
     Closed form: sum a_m conj(a_n) 2 sin(alpha log(m/n))/log(m/n), with the
     diagonal reading 2 alpha |a_n|^2.  The second route is a k-node
     Gauss-Legendre rule on |P(t)|^2, with P summed directly at the nodes;
-    the two must agree within `accuracy` (relative to the diagonal mass)
-    or we refuse.
+    the two must agree within 1e-9 (relative to the diagonal mass) or we
+    refuse.
 
     Node count: with t = alpha x, |P|^2 = sum a_m conj(a_n) e^{-i alpha x
     log(m/n)} has 2k-th x-derivative at most (sum |a_n|)^2 c^{2k}, where
@@ -103,7 +102,7 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
     closed = float(np.real(a[None, :].conj() @ kern @ a[:, None])[0, 0])
 
     scale = 2.0 * alpha * float(np.sum(np.abs(a) ** 2))
-    allowed = accuracy * max(scale, 1.0)
+    allowed = 1e-9 * max(scale, 1.0)
     mass = float(np.sum(np.abs(a))) ** 2
     k = _gauss_order(alpha * math.log(ns[-1] / ns[0]),
                      0.5 * allowed / (alpha * mass) if mass else math.inf)
@@ -116,15 +115,7 @@ def lhs_integral(P: DirichletPolynomial, alpha: float,
     return closed
 
 
-def _log_gauss_nodes(lo: float, hi: float, per_unit: int = 24, order: int = 8):
-    """Gauss nodes in v = log y over [log lo, log hi]."""
-    a, b = math.log(lo), math.log(hi)
-    return smoothing.gauss_panels(
-        a, b, max(4, int(math.ceil((b - a) * per_unit))), order)
-
-
-def rhs_integral(P: DirichletPolynomial, sigma: float,
-                 per_unit: int = 24) -> float:
+def rhs_integral(P: DirichletPolynomial, sigma: float) -> float:
     """int over the full integrand support of |sum a_n psi_sigma(n/y)|^2 dy/y.
 
     psi_sigma(n/y) lives on y in [n/4, n], so the support is
@@ -136,7 +127,10 @@ def rhs_integral(P: DirichletPolynomial, sigma: float,
         return 0.0
     ns = np.array([n for n, _ in P.terms], dtype=float)
     a = np.array([c for _, c in P.terms], dtype=complex)
-    v, w = _log_gauss_nodes(float(ns.min()) / 4.0, float(ns.max()), per_unit)
+    # 24 panels of 8 nodes per unit of log y, and at least 4 panels
+    lo, hi = math.log(float(ns.min()) / 4.0), math.log(float(ns.max()))
+    npan = max(4, int(math.ceil((hi - lo) * 24)))
+    v, w = smoothing.gauss_panels(lo, hi, npan, 8)
     y = np.exp(v)
     ratio = ns[:, None] / y[None, :]
     mask = (ratio >= 1.0) & (ratio <= 4.0)
@@ -153,9 +147,9 @@ def f_sigma(u, sigma: float):
 
 
 @lru_cache(maxsize=16)
-def _f_nodes(sigma: float, npan: int = 48, order: int = 12):
+def _f_nodes(sigma: float):
     """Composite Gauss nodes over [-C, 0] with f_sigma pre-evaluated."""
-    u, wt = smoothing.gauss_panels(-SUPPORT_C, 0.0, npan, order)
+    u, wt = smoothing.gauss_panels(-SUPPORT_C, 0.0, 48, 12)
     return u, wt, f_sigma(u, sigma)
 
 
@@ -193,13 +187,13 @@ class AlphaReport:
     sigma_grid: tuple[float, ...]
 
 
-@lru_cache(maxsize=4)
-def admissible_alpha(grid: int = 33) -> AlphaReport:
+@lru_cache(maxsize=1)
+def admissible_alpha() -> AlphaReport:
     """alpha = 1/(10 pi C) with C = log 4, plus the explicit constant
-    2 pi / inf |f_hat_sigma(xi)|^2, the inf taken over |xi| <= 2 pi alpha
-    and sigma on the sampling grid."""
+    2 pi / inf |f_hat_sigma(xi)|^2, the inf taken over 33 points of
+    |xi| <= 2 pi alpha and sigma on the sampling grid."""
     alpha = 1.0 / (10.0 * math.pi * SUPPORT_C)
-    xis = np.linspace(-2.0 * math.pi * alpha, 2.0 * math.pi * alpha, grid)
+    xis = np.linspace(-2.0 * math.pi * alpha, 2.0 * math.pi * alpha, 33)
     inf_sq = math.inf
     for sigma in SIGMA_GRID:
         inf_sq = min(inf_sq, float(np.min(np.abs(fhat_sigma(xis, sigma)) ** 2)))
@@ -235,23 +229,20 @@ def autocorrelation_sigma(x, sigma: float):
 
 
 @lru_cache(maxsize=16)
-def _h_nodes(sigma: float, npan: int = 96, order: int = 12):
+def _h_nodes(sigma: float):
     """Gauss nodes over [-C, C] with the autocorrelation pre-evaluated."""
-    x, wt = smoothing.gauss_panels(-SUPPORT_C, SUPPORT_C, npan, order)
+    x, wt = smoothing.gauss_panels(-SUPPORT_C, SUPPORT_C, 96, 12)
     return x, wt, autocorrelation_sigma(x, sigma)
 
 
-def autocorrelation_identity_check(sigma: float = 0.0,
-                                   xigrid=None) -> AutocorrReport:
+def autocorrelation_identity_check(sigma: float = 0.0) -> AutocorrReport:
     """Numerical check of H_hat = |f_hat|^2 plus Parseval at x = 0.
 
     H is built by direct quadrature of each lag integral; its transform and
     |f_hat|^2 come from separate node sets, so agreement is meaningful.
     """
-    if xigrid is None:
-        xigrid = np.linspace(-2.0, 2.0, 21)
     x, wt, h = _h_nodes(float(sigma))
-    xia = np.asarray(xigrid, dtype=float)
+    xia = np.linspace(-2.0, 2.0, 21)
     hhat = _fourier_sum(xia, x, wt * h)
     fh = fhat_sigma(xia, sigma)
     gaps = np.abs(hhat - np.abs(fh) ** 2)
@@ -271,28 +262,28 @@ class SieveReport:
     seed: int
 
 
-def random_polynomial(rng: np.random.Generator, max_len: int = 50,
-                      n_max: int = 10_000) -> DirichletPolynomial:
-    """Coefficients uniform on the unit disk; n >= 2 without replacement
-    (n = 1 sits below the y-integral's support at dyadic scale, so trials
-    stay inside the lemma's regime)."""
+def random_polynomial(rng: np.random.Generator,
+                      max_len: int = 50) -> DirichletPolynomial:
+    """Coefficients uniform on the unit disk; 2 <= n <= 10^4 without
+    replacement (n = 1 sits below the y-integral's support at dyadic scale,
+    so trials stay inside the lemma's regime)."""
     length = int(rng.integers(1, max_len + 1))
-    ns = rng.choice(np.arange(2, n_max + 1), size=length, replace=False)
+    ns = rng.choice(np.arange(2, 10_001), size=length, replace=False)
     r = np.sqrt(rng.uniform(0.0, 1.0, size=length))
     th = rng.uniform(0.0, 2.0 * math.pi, size=length)
     return DirichletPolynomial.from_pairs(
         zip(ns.tolist(), (r * np.exp(1j * th)).tolist()))
 
 
-def sieve_inequality_check(trials: int, seed: int, sigma: float = 0.0,
-                           report: AlphaReport | None = None) -> SieveReport:
+def sieve_inequality_check(trials: int, seed: int,
+                           sigma: float = 0.0) -> SieveReport:
     """Seeded random trials of lhs <= (2 pi / inf |f_hat|^2) * rhs.
 
     This is a theorem once alpha is admissible; any failure means a bug.
     The worst ratio lhs / (constant * rhs) is reported for regression
     freezing (it should sit well below 1).
     """
-    report = report or admissible_alpha()
+    report = admissible_alpha()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

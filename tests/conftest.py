@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from reslab import charsums, resonator
+from reslab import analytic, charsums, resonator
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +62,9 @@ def three_prime_table(three_prime_params):
 @pytest.fixture(scope="session")
 def three_prime_kernel(three_prime_table):
     return charsums.PartialSumKernel(three_prime_table)
+
+
+@pytest.fixture(scope="session")
+def three_prime_contour(three_prime_table):
+    """S_via_contour at y = 2, 5, 10, one call: F on the line once."""
+    return analytic.S_via_contour((2.0, 5.0, 10.0), three_prime_table)

@@ -107,15 +107,17 @@ class TestAcceptance:
         _report(f"PASS criterion 6: factorization holds at 12 points "
                 f"(worst uncovered gap {worst:.2e} <= 1e-6)")
 
-    def test_07_contour_equivalence(self, three_prime_table,
+    def test_07_contour_equivalence(self, three_prime_contour,
                                     three_prime_kernel):
         """S_via_contour matches the direct lattice sum within its
-        certificate at y in {2, 5, 10}."""
+        certificate, and to 1e-6, at y in {2, 5, 10}."""
+        cv = three_prime_contour
         gaps = []
-        for y in (2.0, 5.0, 10.0):
-            cv = analytic.S_via_contour(y, three_prime_table)
-            gap = abs(cv.value - three_prime_kernel.S(y))
-            assert gap <= cv.err_estimate, y
+        for y, value, err in zip((2.0, 5.0, 10.0), cv.value, cv.err_estimate):
+            direct = three_prime_kernel.S(y)
+            gap = abs(value - direct)
+            assert gap <= err, y
+            assert value == pytest.approx(direct, abs=1e-6), y
             gaps.append(gap)
         _report(f"PASS criterion 7: contour route agrees at y = 2, 5, 10 "
                 f"(gaps {', '.join(f'{g:.1e}' for g in gaps)})")

@@ -325,24 +325,34 @@ class TestFactorization:
 
 
 class TestContour:
-    @pytest.mark.parametrize("y", (2.0, 5.0, 10.0))
-    def test_matches_direct_sum(self, three_prime_table, three_prime_kernel, y):
-        cv = analytic.S_via_contour(y, three_prime_table)
-        direct = three_prime_kernel.S(y)
-        assert abs(cv.value - direct) <= cv.err_estimate
-        assert cv.value == pytest.approx(direct, abs=1e-6)
+    def test_one_F_per_call(self, three_prime_table, monkeypatch):
+        # F stubbed to 1: the call count is the point, not the values
+        calls = []
 
-    def test_rejects_line_through_pole(self, three_prime_table):
-        with pytest.raises(ValueError):
-            analytic.S_via_contour(5.0, three_prime_table, sigma_line=0.0)
+        def unit_f(s, table, pmax):
+            calls.append(pmax)
+            return np.ones(np.shape(s), dtype=complex), np.zeros(np.shape(s))
+
+        monkeypatch.setattr(analytic, "F_factored_bounded", unit_f)
+        many = analytic.S_via_contour((2.0, 5.0, 10.0), three_prime_table)
+        assert len(calls) == 1
+        assert many.value.shape == many.err_estimate.shape == (3,)
+        one = analytic.S_via_contour(5.0, three_prime_table)
+        assert len(calls) == 2
+        assert type(one.value) is float and type(one.err_estimate) is float
+        assert one.value == many.value[1]
+        assert one.err_estimate == many.err_estimate[1]
 
     def test_shifted_contour_agrees(self, three_prime_table,
-                                    three_prime_params):
+                                    three_prime_params, three_prime_contour):
         rep = analytic.contour_shift_check(5.0, three_prime_table,
                                            three_prime_params)
         assert rep.gap <= rep.certificate
         assert rep.right_line_value == pytest.approx(1.5057442856798051,
                                                      abs=1e-6)
+        # the scalar call inside the check and the fixture's array call
+        # give the same bits
+        assert rep.right_line_value == three_prime_contour.value[1]
 
 
 class TestRankin:

@@ -396,3 +396,20 @@ class TestVerifySuites:
         path = tmp_path / f"verify_{suite}.json"
         assert path.exists()
         assert json.loads(path.read_text())["passed"] is True
+
+    def test_contour_suite(self, tmp_path, capsys, three_prime_contour):
+        # the three-prime schedule of the contour tests, through the CLI
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(
+            "mode = explicit\nD = 1000000\nL = 2.718281828459045\nx = 30\n"
+            "B = 30\nZ = 150\npminus_lo = 10\npminus_hi = 18\n"
+            f"outdir = {tmp_path}\n")
+        assert cli.main(["--config", str(cfgp), "verify",
+                         "contour"]) == cli.EXIT_PASS
+        assert "PASS [contour]" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "verify_contour.json").read_text())
+        assert rep["passed"] is True
+        res = rep["result"]
+        assert sorted(res) == ["10.0", "2.0", "5.0"]
+        assert [res[y]["contour"] for y in ("2.0", "5.0", "10.0")] == \
+            three_prime_contour.value.tolist()
