@@ -343,6 +343,16 @@ class TestContour:
         assert one.value == many.value[1]
         assert one.err_estimate == many.err_estimate[1]
 
+    @pytest.mark.parametrize("y", (2.0, 5.0, 10.0))
+    def test_matches_direct_sum(self, three_prime_contour, three_prime_kernel,
+                                y):
+        # the fixture holds S_via_contour at y = 2, 5, 10, in that order
+        cv = three_prime_contour
+        i = (2.0, 5.0, 10.0).index(y)
+        direct = three_prime_kernel.S(y)
+        assert abs(cv.value[i] - direct) <= cv.err_estimate[i]
+        assert cv.value[i] == pytest.approx(direct, abs=1e-6)
+
     def test_shifted_contour_agrees(self, three_prime_table,
                                     three_prime_params, three_prime_contour):
         rep = analytic.contour_shift_check(5.0, three_prime_table,
