@@ -28,12 +28,10 @@ pass.  Checkpoints are keyed on everything that determines a chunk.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -428,6 +426,7 @@ def _scan_digest(params: ResonatorParams, table: CoefficientTable,
         "support": state["support"],
         "truncation": state["truncation"],
     }
+    import hashlib  # here, not at the top: it loads OpenSSL (3.6 MB)
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
@@ -509,6 +508,8 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
 
     workers = workers if workers is not None else default_workers()
     if workers > 1 and len(todo) > 1:
+        # here, not at the top: the pool brings multiprocessing (2 MB)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as ex:
             jobs = [(bounds[i], keep_rows) for i in todo]
@@ -714,7 +715,7 @@ def afe_central_value(d: int) -> AfeValue:
 # Odd residues mod q per block of dirichlet_l_half: small enough that the
 # block's temporaries stay in L2, large enough that the per-block numpy
 # calls cost little.  The sieves keep the larger arith.SEGMENT.
-_ORACLE_BLOCK = 1 << 15
+_ORACLE_BLOCK = 1 << 14
 
 # chi_{8d}(a) / (a|d) as a function of a mod 8, for d = 1 and d = 3 mod 4:
 # (2|a), times (-1|a) when d = 3 mod 4; zero at even a
@@ -742,14 +743,14 @@ def dirichlet_l_half(d: int) -> float:
 
     chi_{8d} comes from the Jacobi table of d (arith.jacobi_table) by
     reciprocity, not from the kronecker routine the AFE uses.  The odd
-    residues are walked in blocks of _ORACLE_BLOCK = 2^15, so that the
-    float64 temporaries of hurwitz_em's power passes (256 KiB each) fit
-    together in a 2 MiB L2 cache.  Each residue's term goes through the
-    same operations whatever the block, and one math.fsum, which rounds
-    exactly in any order, takes every class's term, so the result is
-    bit-identical for any block size.  Memory beyond the Jacobi
-    table is bounded by one block.  Raises WorkEstimateError for
-    d > MAX_D_EXACT, before any work of size d.
+    residues are walked in blocks of _ORACLE_BLOCK = 2^14, so that the
+    float64 temporaries of hurwitz_em's power passes (128 KiB each, about
+    1.3 MiB traced in all) fit together in a 2 MiB L2 cache.  Each
+    residue's term goes through the same operations whatever the block,
+    and one math.fsum, which rounds exactly in any order, takes every
+    class's term, so the result is bit-identical for any block size.
+    Memory beyond the Jacobi table is bounded by one block.  Raises
+    WorkEstimateError for d > MAX_D_EXACT, before any work of size d.
     """
     if d > MAX_D_EXACT:
         raise WorkEstimateError(

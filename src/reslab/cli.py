@@ -12,10 +12,13 @@ integer, an ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and
 squarefree, a ``ratio`` whose family holds no admissible d
 (charsums.EmptyFamilyError), a ``ratio --checkpoint`` whose directory does
 not exist, a checkpoint file that is not a scan checkpoint, belongs to
-another run, or disagrees with the recomputed chunks, and a ``scan-s``
+another run, or disagrees with the recomputed chunks, a ``scan-s``
 whose npoints is below 1 or whose y_lo, y_hi are not finite with 0 < y_lo
-< y_hi.  Work-estimate aborts (charsums.WorkEstimateError) are a ``ratio``
-past the scan's guards on D, support size and x, a schedule whose support
+< y_hi, and an outdir that cannot be a directory because a file stands on
+its path; a command that writes checks its outdir before any work, but
+creates it only when it writes.  Work-estimate aborts
+(charsums.WorkEstimateError) are a ``ratio`` past the scan's guards on D,
+support size and x, a schedule whose support
 holds more than resonator.MAX_SUPPORT entries (resonator.SupportTooLarge,
 raised while it is enumerated), an ``afe --d`` above
 charsums.MAX_D_EXACT, where the oracle would need O(d) memory and time,
@@ -147,6 +150,16 @@ def canonical_json(payload: dict) -> str:
     """Stable bytes: sorted keys, repr-exact floats, timing excluded."""
     trimmed = {k: v for k, v in payload.items() if k != "timing"}
     return json.dumps(trimmed, sort_keys=True, indent=1, default=repr)
+
+
+def _check_outdir(outdir: str) -> None:
+    """Refuse an outdir that os.makedirs could not create: the nearest
+    existing path along it must be a directory."""
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"outdir {outdir!r}: {path} is not a directory")
 
 
 def write_report(outdir: str, name: str, payload: dict) -> str:
@@ -377,7 +390,7 @@ def _suite_factorization(cfg):
         fd, ftail = analytic.F_direct(complex(s), table)
         ff, fcert = analytic.F_factored_bounded(complex(s), table)
         gap = abs(fd - ff)
-        cert = 1e-6 + ftail + fcert
+        cert = ftail + fcert
         assert gap <= cert, f"s = {s}: gap {gap} > cert {cert}"
         worst = max(worst, gap - cert)
         rows.append({"s": str(s), "gap": gap, "cert": cert})
@@ -467,6 +480,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.command == "params":
             return cmd_params(cfg)
+        _check_outdir(cfg.outdir)
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "ratio":

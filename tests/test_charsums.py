@@ -512,10 +512,11 @@ class TestCentralValue:
     @pytest.mark.parametrize("d", [1, 3, 105, 1249, 100003])
     def test_oracle_independent_of_block(self, d, monkeypatch):
         # blocks of 2 and 10 residues leave short and empty live sets and
-        # end off the multiples of 8; 2^22 takes every residue in one block.
-        # At d = 100003 blocks of 2 would take 26 s, and blocks of 10
-        # already cut its 400 k residues into 40 k blocks
-        blocks = [10, 1 << 15, 1 << 22]
+        # end off the multiples of 8; 2^14 is the default, pinned against
+        # the 2^15 it replaced; 2^22 takes every residue in one block.  At
+        # d = 100003 blocks of 2 would take 26 s, and blocks of 10 already
+        # cut its 400 k residues into 40 k blocks
+        blocks = [10, 1 << 14, 1 << 15, 1 << 22]
         if d < 10**4:
             blocks.insert(0, 2)
         values = set()
@@ -525,8 +526,8 @@ class TestCentralValue:
         assert len(values) == 1
 
     def test_oracle_memory_bounded_by_block(self):
-        # one block of _ORACLE_BLOCK residues holds about 2 MiB; the whole
-        # range of q/2 residues in one block would hold 20 MiB
+        # one block of 2^14 residues holds about 1.3 MiB (2.2 MiB at 2^15);
+        # the whole range of q/2 residues in one block would hold 20 MiB
         charsums.dirichlet_l_half(100003)
         tracemalloc.start()
         try:
@@ -534,7 +535,7 @@ class TestCentralValue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2 * 2**20
 
     @given(st.sampled_from(_SQUAREFREE_ODD))
     @example(1)

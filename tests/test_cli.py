@@ -201,12 +201,20 @@ def _run_cli(args, cwd, workers="1"):
                           timeout=120)
 
 
+def _outdir_through_file(tmp_path):
+    """A config whose outdir lies under a regular file."""
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / "through.cfg"
+    path.write_text(SMALL_CFG + f"outdir = {tmp_path / 'afile' / 'sub'}\n")
+    return str(path)
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
                                       "checkpoint_not_json", "empty_family",
                                       "checkpoint_dir_missing", "x_nan",
                                       "B_nan", "Z_nan", "Z_inf", "Z_neg",
-                                      "Z_zero", "L_neg"])
+                                      "Z_zero", "L_neg", "outdir_not_dir"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         ck = tmp_path / "scan.ckpt"
         cfg = small_cfg_path
@@ -229,6 +237,8 @@ class TestErrorPaths:
             cfg = str(empty)
         elif case == "checkpoint_dir_missing":
             ck = tmp_path / "nodir" / "scan.ckpt"
+        elif case == "outdir_not_dir":
+            cfg = _outdir_through_file(tmp_path)
         else:
             # NaN slips past every comparison the schedule makes, an
             # infinite Z puts no bound on the support, Z < 0 reaches
@@ -249,6 +259,18 @@ class TestErrorPaths:
         outdir = cli.RunConfig.load(small_cfg_path).outdir
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv"))
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv.tmp"))
+
+    @pytest.mark.parametrize("args", [["afe", "--d", "3"], ["scan-s"],
+                                      ["verify", "arith"]],
+                             ids=["afe", "scan_s", "verify"])
+    def test_outdir_not_dir_exit_two(self, args, tmp_path):
+        proc = _run_cli(["--config", _outdir_through_file(tmp_path), *args],
+                        tmp_path)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "not a directory" in lines[0]
 
     @pytest.mark.parametrize("args, code", [
         (["--npoints", "-1"], cli.EXIT_CONFIG),
@@ -325,32 +347,39 @@ outdir = out
 """
 
 
+# what only a family scan runs: hashlib (it loads OpenSSL) for the scan's
+# checkpoint digest, and the process pool for more than one worker
+_HASHING = ("_hashlib", "hashlib")
+_POOL = ("concurrent", "multiprocessing")
+
+
 def test_cli_import_leaves_scipy_out(tmp_path):
     # the ratio path, the partial-sum lattice behind scan-s, the
     # factorization and gallagher suites and the central values need numpy
-    # only; scipy is a test-only oracle
+    # only; scipy is a test-only oracle.  No command loads the pool or
+    # hashlib unless it runs them; gallagher is spared the hashlib check
+    # because numpy.random imports secrets, which imports hashlib
     (tmp_path / "run.cfg").write_text(DESK_CFG)
-    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    for run in ("", "reslab.cli.main(['--config', 'run.cfg', 'verify', "
-                    "'factorization'])",
-                "reslab.cli.main(['--config', 'run.cfg', 'verify', "
-                "'gallagher'])",
-                "reslab.cli.main(['--config', 'run.cfg', 'verify', 'afe'])",
-                "reslab.cli.main(['--config', 'run.cfg', 'scan-s'])",
-                "reslab.cli.main(['--config', 'run.cfg', 'afe', '--d', "
-                "'100003'])"):
+    everything = ("scipy",) + _POOL + _HASHING
+    for args, head, absent in [
+            ("", "", everything),
+            ("'verify', 'factorization'", "PASS", everything),
+            ("'verify', 'gallagher'", "PASS", ("scipy",) + _POOL),
+            ("'verify', 'afe'", "PASS", everything),
+            ("'scan-s'", "csv: ", everything),
+            ("'afe', '--d', '100003'", "d = 100003: ", everything),
+            ("'ratio'", "report: ", ("scipy",) + _POOL)]:
+        run = f"reslab.cli.main(['--config', 'run.cfg', {args}])" if args else ""
+        report = ("print(sorted(m for m in sys.modules "
+                  f"if m.split('.')[0] in {absent!r}))")
         code = f"import sys, reslab.cli\n{run}\n{report}"
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=SRC),
+                              env=dict(os.environ, PYTHONPATH=SRC,
+                                       RESLAB_WORKERS="1"),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", run
-        if "verify" in run:
-            assert proc.stdout.startswith("PASS"), proc.stdout
-        elif "'afe'" in run:
-            assert proc.stdout.startswith("d = 100003: "), proc.stdout
-        elif run:
-            assert proc.stdout.startswith("csv: "), proc.stdout
+        assert proc.stdout.startswith(head), proc.stdout
 
 
 class TestScanCommand:
