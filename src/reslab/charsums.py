@@ -23,7 +23,8 @@ results are bit-identical for any worker count and any chunk size.  An
 optional sink receives every chunk's rows (d, T(d), R(d)^2) as CSV line
 bytes, formatted in the process that computed the chunk and handed over in
 chunk order, which is how the CLI writes the family CSV from the same
-pass.  Checkpoints are keyed on everything that determines a chunk.
+pass.  The default chunk of 2^15 d bounds the scan's working set: a chunk's
+arrays, not the family's size, set its memory.
 """
 
 from __future__ import annotations
@@ -261,12 +262,6 @@ class FamilyScan:
     chunk_count: int
 
 
-class CheckpointError(ValueError):
-    """A scan checkpoint is unreadable, belongs to a different run,
-    disagrees with the chunks it claims to hold, or would be written to a
-    directory that does not exist."""
-
-
 def _scan_state(params, table):
     """What every chunk of one scan shares: the support with r(n), the
     truncation weights phi(n/x)/sqrt(n), and the prime basis.
@@ -416,7 +411,8 @@ def _scan_digest(params: ResonatorParams, table: CoefficientTable,
 
     The cutoff enters the chunks only through the truncation weights
     phi(n/x)/sqrt(n), so those weights stand for it: a change to phi's code
-    changes the digest.
+    changes the digest.  The scan does not call it; it is kept to name the
+    run in a report's provenance.
     """
     payload = {
         "version": __version__,
@@ -432,36 +428,24 @@ def _scan_digest(params: ResonatorParams, table: CoefficientTable,
     ).hexdigest()
 
 
-def _load_checkpoint(path: str, digest: str) -> dict[int, list]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            ck = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if not isinstance(ck, dict) or ck.get("digest") != digest:
-        raise CheckpointError(f"checkpoint {path} belongs to a different run")
-    return {int(k): v for k, v in ck["chunks"].items()}
-
-
 def scan_family(params: ResonatorParams, table: CoefficientTable,
-                workers: int | None = None, chunk_size: int = 1 << 17,
-                checkpoint: str | None = None, sink=None) -> FamilyScan:
+                workers: int | None = None,
+                # a chunk traces 3.3 MiB (12.9 at 2^17) and costs ~1.3 ms fixed
+                chunk_size: int = 1 << 15, sink=None) -> FamilyScan:
     """Denominator, numerator, and weighted minimum over the whole family.
 
-    Each chunk reduces to the exact parts of its sums, and one fsum over
-    all parts gives the correctly rounded totals, so the result does not
-    depend on the worker count or the chunk size.  An optional
-    checkpoint file (JSON, keyed on the run's digest) lets an interrupted
-    run resume; its directory must exist before the scan starts.
+    The family is cut into chunks of chunk_size consecutive d, so memory is
+    bounded by one chunk's arrays (and, with a pool, one per worker).  Each
+    chunk reduces to the exact parts of its sums, and one fsum over all
+    parts gives the correctly rounded totals, so the result does not
+    depend on the worker count or the chunk size.
 
     An optional ``sink(lines)`` receives every chunk's rows as one bytes
     object of CSV lines ``d,repr(T(d)),repr(R(d)^2)\r\n``, one line per
     admissible d in increasing order (empty for a chunk without one).  The
     process that computes a chunk, a pool worker or the caller, formats
     its lines; the sink is called in chunk-index order, from the calling
-    process.  Because it needs every row, chunks restored from a
-    checkpoint are computed again, and each must reproduce its stored
-    summary exactly or CheckpointError is raised.
+    process.
     """
     if table.support is None:
         raise ValueError("support not enumerated; call table.with_support()")
@@ -478,51 +462,29 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
         raise EmptyFamilyError(f"empty range ({D/2}, {D}]")
     bounds = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
 
-    if checkpoint and not os.path.isdir(os.path.dirname(checkpoint) or "."):
-        raise CheckpointError(
-            f"checkpoint {checkpoint}: directory does not exist")
-
     state = _scan_state(params, table)
-    digest = _scan_digest(params, table, state, chunk_size)
-    done: dict[int, list] = {}
-    if checkpoint and os.path.exists(checkpoint):
-        done = _load_checkpoint(checkpoint, digest)
     keep_rows = sink is not None
-    todo = [i for i in range(len(bounds)) if keep_rows or i not in done]
 
-    def record(i, summary, lines):
-        if i in done:
-            if done[i] != summary:
-                raise CheckpointError(
-                    f"checkpoint {checkpoint}: chunk {i} does not match its "
-                    f"recomputation")
-        else:
-            done[i] = summary
-            if checkpoint:
-                tmp = checkpoint + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump({"digest": digest, "chunks": done}, fh)
-                os.replace(tmp, checkpoint)
+    def record(summary, lines):
         if keep_rows:
             sink(lines)
+        return summary
 
     workers = workers if workers is not None else default_workers()
-    if workers > 1 and len(todo) > 1:
+    if workers > 1 and len(bounds) > 1:
         # here, not at the top: the pool brings multiprocessing (2 MB)
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as ex:
-            jobs = [(bounds[i], keep_rows) for i in todo]
-            for i, res in zip(todo, ex.map(_worker_chunk, jobs)):
-                record(i, *res)
+            jobs = [(b, keep_rows) for b in bounds]
+            done = [record(*res) for res in ex.map(_worker_chunk, jobs)]
     else:
-        for i in todo:
-            record(i, *_scan_chunk(bounds[i], state, keep_rows))
+        done = [record(*_scan_chunk(b, state, keep_rows)) for b in bounds]
 
-    denom = math.fsum(p for i in range(len(bounds)) for p in done[i][0])
-    numer = math.fsum(p for i in range(len(bounds)) for p in done[i][1])
-    best = min((done[i][2], done[i][3]) for i in range(len(bounds)))
-    count = sum(done[i][4] for i in range(len(bounds)))
+    denom = math.fsum(p for chunk in done for p in chunk[0])
+    numer = math.fsum(p for chunk in done for p in chunk[1])
+    best = min((chunk[2], chunk[3]) for chunk in done)
+    count = sum(chunk[4] for chunk in done)
     return FamilyScan(denom, numer, best[0], best[1], count, len(bounds))
 
 
@@ -580,16 +542,14 @@ class RatioReport:
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState,
                        kernel: PartialSumKernel | None = None,
-                       workers: int | None = None,
-                       checkpoint: str | None = None, sink=None) -> RatioReport:
+                       workers: int | None = None, sink=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
     exact weighted-average pigeonhole  min <= Num/Den.  ``kernel``, when
     given, is the partial-sum kernel behind the signs, reused for sigma_1
     and sigma_2; ``sink`` receives the family's CSV lines as in
     scan_family."""
-    scan = scan_family(params, table, workers=workers,
-                       checkpoint=checkpoint, sink=sink)
+    scan = scan_family(params, table, workers=workers, sink=sink)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom

@@ -5,18 +5,17 @@ is plain ``key = value`` text (UTF-8, '#' comments, no nesting); reports are
 JSON written atomically (temp file + rename) so a failed run leaves no
 partial outputs.
 
-Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 work-estimate
-abort.  Config errors include a schedule value (D, a, L, x, B, Z or a
-band edge) that is NaN or infinite, a RESLAB_WORKERS that is not a positive
-integer, an ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and
-squarefree, a ``ratio`` whose family holds no admissible d
-(charsums.EmptyFamilyError), a ``ratio --checkpoint`` whose directory does
-not exist, a checkpoint file that is not a scan checkpoint, belongs to
-another run, or disagrees with the recomputed chunks, a ``scan-s``
-whose npoints is below 1 or whose y_lo, y_hi are not finite with 0 < y_lo
-< y_hi, and an outdir that cannot be a directory because a file stands on
-its path; a command that writes checks its outdir before any work, but
-creates it only when it writes.  Work-estimate aborts
+Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
+abort.  A failed check is a verify suite's CheckFailed, raised by an
+explicit test, not an ``assert``, so ``python -O`` keeps it.  Config
+errors include a schedule value (D, a, L, x, B, Z or a band edge) that is
+NaN or infinite, a RESLAB_WORKERS that is not a positive integer, an
+``afe --d`` up to charsums.MAX_D_EXACT that is not odd and squarefree, a
+``ratio`` whose family holds no admissible d (charsums.EmptyFamilyError),
+a ``scan-s`` whose npoints is below 1 or whose y_lo, y_hi are not finite
+with 0 < y_lo < y_hi, and an outdir that cannot be a directory because a
+file stands on its path; a command that writes checks its outdir before
+any work, but creates it only when it writes.  Work-estimate aborts
 (charsums.WorkEstimateError) are a ``ratio`` past the scan's guards on D,
 support size and x, a schedule whose support
 holds more than resonator.MAX_SUPPORT entries (resonator.SupportTooLarge,
@@ -59,6 +58,18 @@ EXIT_WORK = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckFailed(AssertionError):
+    """A verify suite's check failed; the message names the point, the gap
+    and the bound."""
+
+
+def _check(ok: bool, message: str) -> None:
+    """Raise CheckFailed(message) unless ok; unlike ``assert``, it stays
+    under ``python -O``."""
+    if not ok:
+        raise CheckFailed(message)
 
 
 _FLOAT_KEYS = {"a", "L", "x", "B", "Z", "pminus_lo", "pminus_hi"}
@@ -200,14 +211,13 @@ def _build_pipeline(cfg: RunConfig):
     return params, table, signs, kernel
 
 
-def cmd_ratio(cfg: RunConfig, checkpoint: str | None = None) -> int:
+def cmd_ratio(cfg: RunConfig) -> int:
     t0 = time.time()
     params, table, signs, kernel = _build_pipeline(cfg)
     workers = cfg.worker_count()
     with _family_csv(cfg.outdir) as sink:
         report = charsums.pigeonhole_extract(
-            params, table, signs, kernel, workers=workers,
-            checkpoint=checkpoint, sink=sink)
+            params, table, signs, kernel, workers=workers, sink=sink)
     ok = report.extremal_value <= report.ratio + 1e-9 * abs(report.ratio)
     payload = {
         "version": __version__,
@@ -337,7 +347,10 @@ def _suite_arith(cfg):
         m = rng.randrange(-10**6, 10**6)
         n1 = rng.randrange(1, 10**4) * 2 + 1
         n2 = rng.randrange(1, 10**4) * 2 + 1
-        assert arith.kronecker(m, n1 * n2) == arith.kronecker(m, n1) * arith.kronecker(m, n2)
+        whole = arith.kronecker(m, n1 * n2)
+        split = arith.kronecker(m, n1) * arith.kronecker(m, n2)
+        _check(whole == split, f"m = {m}, n = {n1} * {n2}: "
+               f"kronecker(m, n) = {whole} != {split}")
     return {"multiplicativity_trials": 2000}
 
 
@@ -345,9 +358,11 @@ def _suite_trig(cfg):
     th = np.linspace(5 * math.pi / 6, 7 * math.pi / 6, 200001)
     vals = (2 * np.cos(th) + 1) * np.cos(th)
     mn = float(np.min(vals))
-    assert abs(mn - analytic.TRIG_MIN) < 1e-9
-    assert abs(vals[0] - analytic.TRIG_MIN) < 1e-12
-    assert abs(vals[-1] - analytic.TRIG_MIN) < 1e-12
+    for where, value, bound in (("grid minimum", mn, 1e-9),
+                                ("theta = 5 pi/6", vals[0], 1e-12),
+                                ("theta = 7 pi/6", vals[-1], 1e-12)):
+        gap = abs(value - analytic.TRIG_MIN)
+        _check(gap < bound, f"{where}: gap {gap} >= {bound}")
     return {"min": mn, "expected": analytic.TRIG_MIN}
 
 
@@ -356,7 +371,7 @@ def _suite_orthogonality(cfg):
     for n in (1, 9, 25):
         exact, main, err = charsums.orthogonality_check(n, min(cfg.D, 10**5))
         rel = abs(err) / main
-        assert rel < 0.02, f"n = {n}: relative error {rel}"
+        _check(rel < 0.02, f"n = {n}: relative error {rel} >= 0.02")
         out[str(n)] = {"exact": exact, "main": main, "rel": rel}
     return out
 
@@ -375,26 +390,30 @@ def _small_table():
 def _suite_trunc(cfg):
     params, table = _small_table()
     rep = analytic.verify_rankin_truncations(table, params)
-    assert rep.identity_gap < 1e-10
-    assert rep.tail_lhs <= rep.tail_rhs
-    assert rep.square_gap_flat < 0.01 and rep.square_gap_weighted < 0.01
+    _check(rep.identity_gap < 1e-10,
+           f"Rankin identity: gap {rep.identity_gap} >= 1e-10")
+    _check(rep.tail_lhs <= rep.tail_rhs,
+           f"Rankin tail: {rep.tail_lhs} > bound {rep.tail_rhs}")
+    for name in ("square_gap_flat", "square_gap_weighted"):
+        gap = getattr(rep, name)
+        _check(gap < 0.01, f"{name}: gap {gap} >= 0.01")
     return asdict(rep)
 
 
 def _suite_factorization(cfg):
     params, table, signs, kernel = _build_pipeline(cfg)
     rows = []
-    worst = 0.0
     for s in (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
               1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j):
         fd, ftail = analytic.F_direct(complex(s), table)
         ff, fcert = analytic.F_factored_bounded(complex(s), table)
         gap = abs(fd - ff)
         cert = ftail + fcert
-        assert gap <= cert, f"s = {s}: gap {gap} > cert {cert}"
-        worst = max(worst, gap - cert)
-        rows.append({"s": str(s), "gap": gap, "cert": cert})
-    return {"points": rows, "worst_over_cert": worst}
+        _check(gap <= cert, f"s = {s}: gap {gap} > cert {cert}")
+        rows.append({"s": str(s), "gap": gap, "cert": cert,
+                     "margin": gap / cert})
+    return {"points": rows,
+            "worst_over_cert": max(row["margin"] for row in rows)}
 
 
 def _suite_contour(cfg):
@@ -405,7 +424,7 @@ def _suite_contour(cfg):
     for y, value, err in zip(ys, cv.value.tolist(), cv.err_estimate.tolist()):
         direct = kernel.S(y)
         gap = abs(value - direct)
-        assert gap <= err, f"y = {y}: gap {gap} > err_estimate {err}"
+        _check(gap <= err, f"y = {y}: gap {gap} > err_estimate {err}")
         out[str(y)] = {"contour": value, "direct": direct, "gap": gap}
     return out
 
@@ -419,7 +438,7 @@ def _suite_afe(cfg):
     worst = 0.0
     for d in (1, 3, 5, 11, 13, 21, 101):
         gap = abs(charsums.afe_central_value(d).value - charsums.dirichlet_l_half(d))
-        assert gap < 1e-6
+        _check(gap < 1e-6, f"d = {d}: oracle gap {gap} >= 1e-6")
         worst = max(worst, gap)
     return {"worst_gap": worst}
 
@@ -463,8 +482,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("params")
     v = sub.add_parser("verify")
     v.add_argument("suite", choices=sorted(SUITES))
-    r = sub.add_parser("ratio")
-    r.add_argument("--checkpoint", default=None)
+    sub.add_parser("ratio")
     s = sub.add_parser("scan-s")
     s.add_argument("--y-lo", type=float, default=2.0)
     s.add_argument("--y-hi", type=float, default=400.0)
@@ -484,14 +502,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "ratio":
-            return cmd_ratio(cfg, checkpoint=args.checkpoint)
+            return cmd_ratio(cfg)
         if args.command == "scan-s":
             return cmd_scan_s(cfg, args.y_lo, args.y_hi, args.npoints)
         if args.command == "afe":
             return cmd_afe(cfg, args.d)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, resonator.ParamsError, arith.InvalidDiscriminant,
-            charsums.CheckpointError, charsums.EmptyFamilyError) as e:
+            charsums.EmptyFamilyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (charsums.WorkEstimateError, resonator.SupportTooLarge) as e:

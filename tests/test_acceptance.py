@@ -103,9 +103,9 @@ class TestAcceptance:
             fb, cert = analytic.F_factored_bounded(s, desk_table)
             gap = abs(fd - fb)
             assert gap <= tail + cert, s
-            worst = max(worst, gap - tail - cert)
+            worst = max(worst, gap / (tail + cert))
         _report(f"PASS criterion 6: factorization holds at 12 points "
-                f"(worst uncovered gap {worst:.2e} <= 0)")
+                f"(worst gap / certificate {worst:.3f} <= 1)")
 
     def test_07_contour_equivalence(self, three_prime_contour,
                                     three_prime_kernel):

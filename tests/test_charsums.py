@@ -2,10 +2,8 @@
 orthogonality, and the smoothed central-value formula."""
 
 import dataclasses
-import json
+import inspect
 import math
-import os
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -236,80 +234,6 @@ class TestFamilyScan:
                                    chunk_size=16)
         assert one == two
 
-    def test_checkpoint_resume(self, small_params, small_table, tmp_path):
-        ck = str(tmp_path / "scan.json")
-        first = charsums.scan_family(small_params, small_table, workers=1,
-                                     chunk_size=16, checkpoint=ck)
-        # drop half the chunks to simulate an interrupted run
-        with open(ck) as fh:
-            saved = json.load(fh)
-        saved["chunks"] = dict(list(saved["chunks"].items())[::2])
-        with open(ck, "w") as fh:
-            json.dump(saved, fh)
-        resumed = charsums.scan_family(small_params, small_table, workers=1,
-                                       chunk_size=16, checkpoint=ck)
-        assert resumed == first
-
-    def test_checkpoint_digest_guard(self, small_params, small_table,
-                                     tmp_path):
-        ck = str(tmp_path / "scan.json")
-        with open(ck, "w") as fh:
-            json.dump({"digest": "not-this-run", "chunks": {}}, fh)
-        with pytest.raises(ValueError):
-            charsums.scan_family(small_params, small_table, workers=1,
-                                 checkpoint=ck)
-
-    @pytest.mark.parametrize("change", ["chunk_size", "cutoff"])
-    def test_checkpoint_keyed_on_run(self, small_params, small_table,
-                                     tmp_path, monkeypatch, change):
-        # chunks are stored by index, so a checkpoint written with 16-wide
-        # chunks read back with 64-wide ones would merge the wrong ranges;
-        # one written under another cutoff holds other truncated sums
-        ck = str(tmp_path / "scan.json")
-        charsums.scan_family(small_params, small_table, workers=1,
-                             chunk_size=16, checkpoint=ck)
-        chunk_size = 16
-        if change == "chunk_size":
-            chunk_size = 64
-        else:
-            phi = smoothing.phi
-            monkeypatch.setattr(smoothing, "phi", lambda u: phi(1.5 * u))
-        with pytest.raises(charsums.CheckpointError, match="different run"):
-            charsums.scan_family(small_params, small_table, workers=1,
-                                 chunk_size=chunk_size, checkpoint=ck)
-
-    def test_checkpoint_not_json(self, small_params, small_table, tmp_path):
-        ck = tmp_path / "scan.json"
-        ck.write_text("not a checkpoint\n")
-        with pytest.raises(charsums.CheckpointError, match="cannot read"):
-            charsums.scan_family(small_params, small_table, workers=1,
-                                 checkpoint=str(ck))
-
-    def test_sink_rows_survive_resume(self, small_params, small_table,
-                                      tmp_path):
-        def scan(ck):
-            lines = []
-            out = charsums.scan_family(
-                small_params, small_table, workers=1, chunk_size=16,
-                checkpoint=ck, sink=lines.append)
-            return out, lines
-
-        ck = str(tmp_path / "scan.json")
-        first = scan(ck)
-        assert len(_parse_csv_lines(first[1])) == first[0].admissible
-        with open(ck) as fh:
-            saved = json.load(fh)
-        saved["chunks"] = dict(list(saved["chunks"].items())[::2])
-        with open(ck, "w") as fh:
-            json.dump(saved, fh)
-        assert scan(ck) == first
-        # restored chunks are recomputed for their rows and must match
-        saved["chunks"]["0"][4] += 1
-        with open(ck, "w") as fh:
-            json.dump(saved, fh)
-        with pytest.raises(charsums.CheckpointError, match="chunk 0"):
-            scan(ck)
-
     @settings(max_examples=30, deadline=None)
     @given(D=st.integers(1, 1200), chunk_size=st.integers(1, 200))
     def test_sink_rows_match_per_d_routes(self, small_params, small_table,
@@ -343,13 +267,11 @@ class TestFamilyScan:
                                            chunk_count=scan.chunk_count)
 
     @settings(max_examples=12, deadline=None)
-    @given(workers=st.sampled_from([1, 2]), chunk_size=st.integers(1, 60),
-           keep=st.integers(0, 2**64 - 1))
+    @given(workers=st.sampled_from([1, 2]), chunk_size=st.integers(1, 60))
     def test_sink_and_scan_survive_any_interruption(
-            self, small_params, small_table, workers, chunk_size, keep):
-        # a checkpoint holding any subset of the chunks (bit i of keep
-        # keeps chunk i), resumed at either worker count, gives the bytes
-        # and the summary of one chunk scanned at one worker
+            self, small_params, small_table, workers, chunk_size):
+        # any chunk size at either worker count gives the bytes and the
+        # summary of one chunk scanned at one worker
         def scan(**kw):
             lines = []
             out = charsums.scan_family(small_params, small_table,
@@ -359,20 +281,42 @@ class TestFamilyScan:
 
         one, one_bytes = scan(workers=1, chunk_size=int(small_params.D))
         assert one.chunk_count == 1
-        with tempfile.TemporaryDirectory() as tmp:
-            ck = os.path.join(tmp, "scan.json")
-            charsums.scan_family(small_params, small_table, workers=1,
-                                 chunk_size=chunk_size, checkpoint=ck)
-            with open(ck) as fh:
-                saved = json.load(fh)
-            saved["chunks"] = {i: c for i, c in saved["chunks"].items()
-                               if keep >> int(i) & 1}
-            with open(ck, "w") as fh:
-                json.dump(saved, fh)
-            got, got_bytes = scan(workers=workers, chunk_size=chunk_size,
-                                  checkpoint=ck)
+        got, got_bytes = scan(workers=workers, chunk_size=chunk_size)
         assert got_bytes == one_bytes
         assert got == dataclasses.replace(one, chunk_count=got.chunk_count)
+
+    def test_default_chunk_memory(self, desk_params, desk_table):
+        # the default width bounds one chunk's working set; 2^17 traced
+        # 12.9 MiB
+        width = inspect.signature(
+            charsums.scan_family).parameters["chunk_size"].default
+        state = charsums._scan_state(desk_params, desk_table)
+        lo = int(desk_params.D // 2) + 1
+        bounds = (lo, lo + width - 1)
+        charsums._scan_chunk(bounds, state, keep_rows=True)
+        tracemalloc.start()
+        try:
+            charsums._scan_chunk(bounds, state, keep_rows=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_default_chunk_matches_wide_chunk(self, desk_params, desk_table):
+        params = dataclasses.replace(desk_params, D=300000)
+
+        def scan(**kw):
+            lines = []
+            out = charsums.scan_family(params, desk_table, workers=1,
+                                       sink=lines.append, **kw)
+            return out, b"".join(lines)
+
+        narrow, narrow_bytes = scan()
+        wide, wide_bytes = scan(chunk_size=1 << 17)
+        assert narrow.chunk_count > wide.chunk_count
+        assert narrow_bytes == wide_bytes
+        assert narrow == dataclasses.replace(wide,
+                                             chunk_count=narrow.chunk_count)
 
     def test_work_guards(self, small_params, small_table):
         huge = dataclasses.replace(small_params, D=charsums.MAX_D_EXACT + 1)

@@ -151,7 +151,7 @@ class TestRatioCommand:
         for w in ("1", "2"):
             outdir = tmp_path / f"out{w}"
             cfgp = tmp_path / f"run{w}.cfg"
-            # D = 3e5 gives two chunks of the default size, so at 2 workers
+            # D = 3e5 gives five chunks of the default size, so at 2 workers
             # the pool runs and its workers format the CSV lines
             cfgp.write_text(SMALL_CFG.replace("D = 200", "D = 300000")
                             + f"outdir = {outdir}\n")
@@ -165,33 +165,6 @@ class TestRatioCommand:
         b = reports["2"][0].replace(b"out2", b"out#")
         assert a == b
         assert reports["1"][1] == reports["2"][1]
-
-    def test_checkpoint_resume_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RESLAB_WORKERS", "1")
-        outdir = tmp_path / "out"
-        cfgp = tmp_path / "run.cfg"
-        # D = 3e5 gives the family two chunks of the default size
-        cfgp.write_text(SMALL_CFG.replace("D = 200", "D = 300000")
-                        + f"outdir = {outdir}\n")
-        ck = str(tmp_path / "scan.ckpt")
-
-        def run():
-            assert cli.main(["--config", str(cfgp), "ratio",
-                             "--checkpoint", ck]) == cli.EXIT_PASS
-            return ((outdir / "ratio_report.json").read_bytes(),
-                    (outdir / "family_sums.csv").read_bytes())
-
-        first = run()
-        with open(ck) as fh:
-            saved = json.load(fh)
-        assert len(saved["chunks"]) == 2
-        # a complete checkpoint: every chunk restored, and recomputed for the CSV
-        assert run() == first
-        # drop half the chunks to simulate an interrupted run
-        saved["chunks"] = dict(list(saved["chunks"].items())[::2])
-        with open(ck, "w") as fh:
-            json.dump(saved, fh)
-        assert run() == first
 
 
 def _run_cli(args, cwd, workers="1"):
@@ -210,33 +183,21 @@ def _outdir_through_file(tmp_path):
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("case", ["workers_not_int", "foreign_checkpoint",
-                                      "checkpoint_not_json", "empty_family",
-                                      "checkpoint_dir_missing", "x_nan",
-                                      "B_nan", "Z_nan", "Z_inf", "Z_neg",
-                                      "Z_zero", "L_neg", "outdir_not_dir"])
+    @pytest.mark.parametrize("case", ["workers_not_int", "empty_family",
+                                      "x_nan", "B_nan", "Z_nan", "Z_inf",
+                                      "Z_neg", "Z_zero", "L_neg",
+                                      "outdir_not_dir"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
-        ck = tmp_path / "scan.ckpt"
         cfg = small_cfg_path
         workers = "1"
         if case == "workers_not_int":
             workers = "abc"
-        elif case == "foreign_checkpoint":
-            other = tmp_path / "other.cfg"
-            other.write_text(SMALL_CFG.replace("D = 200", "D = 300")
-                             + f"outdir = {tmp_path / 'other'}\n")
-            assert _run_cli(["--config", str(other), "ratio", "--checkpoint",
-                             str(ck)], tmp_path).returncode == cli.EXIT_PASS
-        elif case == "checkpoint_not_json":
-            ck.write_text("{ not json\n")
         elif case == "empty_family":
             # the family (1, 2] holds no odd d
             empty = tmp_path / "empty.cfg"
             empty.write_text(SMALL_CFG.replace("D = 200", "D = 2")
                              + f"outdir = {tmp_path / 'out'}\n")
             cfg = str(empty)
-        elif case == "checkpoint_dir_missing":
-            ck = tmp_path / "nodir" / "scan.ckpt"
         elif case == "outdir_not_dir":
             cfg = _outdir_through_file(tmp_path)
         else:
@@ -251,8 +212,8 @@ class TestErrorPaths:
                 f"\n{key} = ", f"\n{key} = {value}  # was ")
                 + f"outdir = {tmp_path / 'out'}\n")
             cfg = str(bad)
-        proc = _run_cli(["--config", cfg, "ratio", "--checkpoint",
-                         str(ck)], tmp_path, workers=workers)
+        proc = _run_cli(["--config", cfg, "ratio"], tmp_path,
+                        workers=workers)
         assert proc.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
@@ -347,8 +308,8 @@ outdir = out
 """
 
 
-# what only a family scan runs: hashlib (it loads OpenSSL) for the scan's
-# checkpoint digest, and the process pool for more than one worker
+# hashlib loads OpenSSL, and no command hashes anything; only a scan with
+# more than one worker needs the process pool
 _HASHING = ("_hashlib", "hashlib")
 _POOL = ("concurrent", "multiprocessing")
 
@@ -356,29 +317,30 @@ _POOL = ("concurrent", "multiprocessing")
 def test_cli_import_leaves_scipy_out(tmp_path):
     # the ratio path, the partial-sum lattice behind scan-s, the
     # factorization and gallagher suites and the central values need numpy
-    # only; scipy is a test-only oracle.  No command loads the pool or
-    # hashlib unless it runs them; gallagher is spared the hashlib check
-    # because numpy.random imports secrets, which imports hashlib
+    # only; scipy is a test-only oracle.  No command loads the pool unless
+    # it runs one, and none loads hashlib; gallagher is spared the hashlib
+    # check because numpy.random imports secrets, which imports hashlib
     (tmp_path / "run.cfg").write_text(DESK_CFG)
     everything = ("scipy",) + _POOL + _HASHING
-    for args, head, absent in [
-            ("", "", everything),
-            ("'verify', 'factorization'", "PASS", everything),
-            ("'verify', 'gallagher'", "PASS", ("scipy",) + _POOL),
-            ("'verify', 'afe'", "PASS", everything),
-            ("'scan-s'", "csv: ", everything),
-            ("'afe', '--d', '100003'", "d = 100003: ", everything),
-            ("'ratio'", "report: ", ("scipy",) + _POOL)]:
+    for args, head, absent, workers in [
+            ("", "", everything, "1"),
+            ("'verify', 'factorization'", "PASS", everything, "1"),
+            ("'verify', 'gallagher'", "PASS", ("scipy",) + _POOL, "1"),
+            ("'verify', 'afe'", "PASS", everything, "1"),
+            ("'scan-s'", "csv: ", everything, "1"),
+            ("'afe', '--d', '100003'", "d = 100003: ", everything, "1"),
+            ("'ratio'", "report: ", everything, "1"),
+            ("'ratio'", "report: ", ("scipy",) + _HASHING, "2")]:
         run = f"reslab.cli.main(['--config', 'run.cfg', {args}])" if args else ""
         report = ("print(sorted(m for m in sys.modules "
                   f"if m.split('.')[0] in {absent!r}))")
         code = f"import sys, reslab.cli\n{run}\n{report}"
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=SRC,
-                                       RESLAB_WORKERS="1"),
+                                       RESLAB_WORKERS=workers),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]", run
+        assert proc.stdout.splitlines()[-1] == "[]", (run, workers)
         assert proc.stdout.startswith(head), proc.stdout
 
 
@@ -442,3 +404,49 @@ class TestVerifySuites:
         assert sorted(res) == ["10.0", "2.0", "5.0"]
         assert [res[y]["contour"] for y in ("2.0", "5.0", "10.0")] == \
             three_prime_contour.value.tolist()
+
+    def test_factorization_margin(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(
+            DESK_CFG.replace("outdir = out", f"outdir = {tmp_path}"))
+        assert cli.main(["--config", str(tmp_path / "run.cfg"), "verify",
+                         "factorization"]) == cli.EXIT_PASS
+        rep = json.loads((tmp_path / "verify_factorization.json").read_text())
+        points = rep["result"]["points"]
+        assert len(points) == 12
+        for row in points:
+            assert row["margin"] == row["gap"] / row["cert"] <= 1.0
+        worst = rep["result"]["worst_over_cert"]
+        assert worst == max(row["margin"] for row in points)
+        assert 0.0 < worst <= 1.0
+
+
+# each suite's second route, broken: the oracle reads 0, and the factored
+# side of F is off by 1
+_BROKEN = {
+    "afe": "reslab.charsums.dirichlet_l_half = lambda d: 0.0",
+    "factorization": (
+        "factored = reslab.analytic.F_factored_bounded\n"
+        "def broken(s, table):\n"
+        "    value, cert = factored(s, table)\n"
+        "    return value + 1.0, cert\n"
+        "reslab.analytic.F_factored_bounded = broken"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BROKEN))
+def test_failing_suite_fails_under_optimize(suite, tmp_path):
+    # python -O strips assert statements; the suites' checks must survive it
+    (tmp_path / "run.cfg").write_text(DESK_CFG)
+    code = ("import sys, reslab.analytic, reslab.charsums, reslab.cli\n"
+            f"{_BROKEN[suite]}\n"
+            "sys.exit(reslab.cli.main(['--config', 'run.cfg', 'verify', "
+            f"{suite!r}]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC,
+                                   RESLAB_WORKERS="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_ASSERT, proc.stdout + proc.stderr
+    assert f"FAIL [{suite}]" in proc.stdout
+    rep = json.loads((tmp_path / "out" / f"verify_{suite}.json").read_text())
+    assert rep["passed"] is False
+    assert "gap" in rep["error"]
