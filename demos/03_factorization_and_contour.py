@@ -10,7 +10,7 @@ y^s phi~(s) F(s).
 
 import math
 
-from reslab import analytic, charsums, resonator
+from reslab import analytic, charsums, checks, resonator
 
 params = resonator.build_params(
     10**6, mode="explicit", L=math.e, x=30.0, B=30.0, Z=150.0,
@@ -21,24 +21,20 @@ print(f"low band: {table.pminus}")
 # route one: the truncated double sum with an algebraic tail bound;
 # route two: the Euler-product factorization with certified truncations
 print("\n   s        F_direct           zeta G H           gap")
-for s in (0.3, 0.5, 0.75 + 1.0j, 1.0):
-    fd, tail = analytic.F_direct(s, table)
-    fb, cert = analytic.F_factored_bounded(s, table)
-    gap = abs(fd - fb)
-    print(f"  {s!s:10}  {fd.real:+.8f}  {fb.real:+.8f}  "
-          f"{gap:.2e} (cert {tail + cert:.2e})")
+for row in checks.factorization((0.3, 0.5, 0.75 + 1.0j, 1.0), table):
+    print(f"  {row['s']!s:10}  {row['direct'].real:+.8f}  "
+          f"{row['factored'].real:+.8f}  {row['gap']:.2e} "
+          f"(cert {row['bound']:.2e})")
 
 # route three: Mellin inversion along Re(s) = 1/4 reproduces the lattice
 # sum S(y) that the character-sum pipeline computes directly; one call
 # evaluates F on the line once for all three y
 kernel = charsums.PartialSumKernel(table)
 ys = (2.0, 5.0, 10.0)
-cv = analytic.S_via_contour(ys, table)
 print("\n   y     S(y) direct      S(y) contour       gap")
-for y, value, err in zip(ys, cv.value, cv.err_estimate):
-    direct = kernel.S(y)
-    print(f"  {y:4.0f}   {direct:+.8f}   {value:+.8f}   "
-          f"{abs(direct - value):.2e} (cert {err:.2e})")
+for row in checks.contour(ys, analytic.S_via_contour(ys, table), kernel):
+    print(f"  {row['y']:4.0f}   {row['direct']:+.8f}   {row['contour']:+.8f}   "
+          f"{row['gap']:.2e} (cert {row['bound']:.2e})")
 
 # shifting the line to Re(s) = -1/(log log D)^2 picks up the pole on a
 # small circle; circle + shifted line must equal the right-line value

@@ -6,8 +6,8 @@ JSON written atomically (temp file + rename) so a failed run leaves no
 partial outputs.
 
 Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
-abort.  A failed check is a verify suite's CheckFailed, raised by an
-explicit test, not an ``assert``, so ``python -O`` keeps it.  Config
+abort.  A failed check is a checks.CheckFailed, raised by an explicit
+test, not an ``assert``, so ``python -O`` keeps it.  Config
 errors include a schedule value (D, a, L, x, B, Z or a band edge) that is
 NaN or infinite, a RESLAB_WORKERS that is not a positive integer, an
 ``afe --d`` up to charsums.MAX_D_EXACT that is not odd and squarefree, a
@@ -48,7 +48,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import __version__, analytic, arith, charsums, resonator, sieve, smoothing
+from . import __version__, analytic, arith, charsums, checks, resonator, sieve, smoothing
 
 EXIT_PASS = 0
 EXIT_ASSERT = 1
@@ -58,18 +58,6 @@ EXIT_WORK = 3
 
 class ConfigError(ValueError):
     pass
-
-
-class CheckFailed(AssertionError):
-    """A verify suite's check failed; the message names the point, the gap
-    and the bound."""
-
-
-def _check(ok: bool, message: str) -> None:
-    """Raise CheckFailed(message) unless ok; unlike ``assert``, it stays
-    under ``python -O``."""
-    if not ok:
-        raise CheckFailed(message)
 
 
 _FLOAT_KEYS = {"a", "L", "x", "B", "Z", "pminus_lo", "pminus_hi"}
@@ -316,22 +304,17 @@ def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
 
 
 def cmd_afe(cfg: RunConfig, dvals: list[int]) -> int:
-    rows = []
-    worst = 0.0
-    for d in dvals:
-        # the oracle first, so that for d > MAX_D_EXACT its guard is the
-        # one that refuses the run, before any AFE work
-        oracle = charsums.dirichlet_l_half(d)
-        afe = charsums.afe_central_value(d)
-        gap = abs(afe.value - oracle)
-        worst = max(worst, gap)
-        rows.append({"d": d, "value": afe.value, "oracle": oracle,
-                     "gap": gap, "tail_bound": afe.tail_bound,
-                     "terms": afe.terms})
-        print(f"d = {d}: L(1/2) = {afe.value!r} (oracle gap {gap:.3e})")
-    write_report(cfg.outdir, "afe_report.json", {"values": rows, "worst_gap": worst})
-    if worst > 1e-6:
-        print(f"FAIL: worst oracle gap {worst:.3e} > 1e-6")
+    try:
+        rows, failure = checks.central_values(dvals), None
+    except checks.CheckFailed as e:
+        rows, failure = e.rows, e
+    for row in rows:
+        print(f"d = {row['d']}: L(1/2) = {row['value']!r} "
+              f"(oracle gap {row['gap']:.3e})")
+    write_report(cfg.outdir, "afe_report.json",
+                 {"values": rows, "worst_gap": checks.worst(rows)["gap"]})
+    if failure:
+        print(f"FAIL: {failure}")
         return EXIT_ASSERT
     return EXIT_PASS
 
@@ -349,84 +332,58 @@ def _suite_arith(cfg):
         n2 = rng.randrange(1, 10**4) * 2 + 1
         whole = arith.kronecker(m, n1 * n2)
         split = arith.kronecker(m, n1) * arith.kronecker(m, n2)
-        _check(whole == split, f"m = {m}, n = {n1} * {n2}: "
-               f"kronecker(m, n) = {whole} != {split}")
+        if whole != split:
+            raise checks.CheckFailed(f"m = {m}, n = {n1} * {n2}: "
+                                     f"kronecker(m, n) = {whole} != {split}")
     return {"multiplicativity_trials": 2000}
 
 
 def _suite_trig(cfg):
-    th = np.linspace(5 * math.pi / 6, 7 * math.pi / 6, 200001)
-    vals = (2 * np.cos(th) + 1) * np.cos(th)
-    mn = float(np.min(vals))
-    for where, value, bound in (("grid minimum", mn, 1e-9),
-                                ("theta = 5 pi/6", vals[0], 1e-12),
-                                ("theta = 7 pi/6", vals[-1], 1e-12)):
-        gap = abs(value - analytic.TRIG_MIN)
-        _check(gap < bound, f"{where}: gap {gap} >= {bound}")
-    return {"min": mn, "expected": analytic.TRIG_MIN}
+    rows = checks.trig_minimum(200001)
+    return {"min": min(row["value"] for row in rows),
+            "expected": analytic.TRIG_MIN}
 
 
 def _suite_orthogonality(cfg):
-    out = {}
-    for n in (1, 9, 25):
-        exact, main, err = charsums.orthogonality_check(n, min(cfg.D, 10**5))
-        rel = abs(err) / main
-        _check(rel < 0.02, f"n = {n}: relative error {rel} >= 0.02")
-        out[str(n)] = {"exact": exact, "main": main, "rel": rel}
-    return out
-
-
-def _small_table():
-    """A few-prime instance small enough for the exhaustive checks."""
-    params = resonator.build_params(
-        10**6, mode="explicit", L=math.e, x=30.0, B=30.0, Z=150.0,
-        pminus_lo=10.0, pminus_hi=20.0)
-    table = resonator.build_table(params)
-    kernel = charsums.PartialSumKernel(table)
-    table = table.with_signs(resonator.assign_signs(table, kernel.S))
-    return params, table
+    rows = checks.orthogonality((1, 9, 25), min(cfg.D, 10**5))
+    return {str(row["n"]): {"exact": row["exact"], "main": row["main"],
+                            "rel": row["gap"], "bound": row["bound"],
+                            "margin": row["margin"]} for row in rows}
 
 
 def _suite_trunc(cfg):
-    params, table = _small_table()
+    # a few-prime schedule, small enough for the exhaustive checks
+    params, table, _, _ = _build_pipeline(RunConfig(
+        L=math.e, x=30.0, B=30.0, Z=150.0, pminus_lo=10.0, pminus_hi=20.0))
     rep = analytic.verify_rankin_truncations(table, params)
-    _check(rep.identity_gap < 1e-10,
-           f"Rankin identity: gap {rep.identity_gap} >= 1e-10")
-    _check(rep.tail_lhs <= rep.tail_rhs,
-           f"Rankin tail: {rep.tail_lhs} > bound {rep.tail_rhs}")
-    for name in ("square_gap_flat", "square_gap_weighted"):
-        gap = getattr(rep, name)
-        _check(gap < 0.01, f"{name}: gap {gap} >= 0.01")
+    for name, gap, bound in (
+            ("Rankin identity", rep.identity_gap, 1e-10),
+            ("square_gap_flat", rep.square_gap_flat, 0.01),
+            ("square_gap_weighted", rep.square_gap_weighted, 0.01)):
+        if not gap < bound:
+            raise checks.CheckFailed(f"{name}: gap {gap} >= {bound}")
+    if not rep.tail_lhs <= rep.tail_rhs:
+        raise checks.CheckFailed(
+            f"Rankin tail: {rep.tail_lhs} > bound {rep.tail_rhs}")
     return asdict(rep)
 
 
 def _suite_factorization(cfg):
     params, table, signs, kernel = _build_pipeline(cfg)
-    rows = []
-    for s in (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
-              1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j):
-        fd, ftail = analytic.F_direct(complex(s), table)
-        ff, fcert = analytic.F_factored_bounded(complex(s), table)
-        gap = abs(fd - ff)
-        cert = ftail + fcert
-        _check(gap <= cert, f"s = {s}: gap {gap} > cert {cert}")
-        rows.append({"s": str(s), "gap": gap, "cert": cert,
-                     "margin": gap / cert})
-    return {"points": rows,
-            "worst_over_cert": max(row["margin"] for row in rows)}
+    rows = checks.factorization(
+        (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
+         1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j), table)
+    return {"points": [{"s": str(row["s"]), "gap": row["gap"],
+                        "cert": row["bound"], "bound": row["bound"],
+                        "margin": row["margin"]} for row in rows],
+            "worst_over_cert": checks.worst(rows)["margin"]}
 
 
 def _suite_contour(cfg):
     params, table, signs, kernel = _build_pipeline(cfg)
     ys = (2.0, 5.0, 10.0)
-    cv = analytic.S_via_contour(ys, table)
-    out = {}
-    for y, value, err in zip(ys, cv.value.tolist(), cv.err_estimate.tolist()):
-        direct = kernel.S(y)
-        gap = abs(value - direct)
-        _check(gap <= err, f"y = {y}: gap {gap} > err_estimate {err}")
-        out[str(y)] = {"contour": value, "direct": direct, "gap": gap}
-    return out
+    rows = checks.contour(ys, analytic.S_via_contour(ys, table), kernel)
+    return {str(row.pop("y")): row for row in rows}
 
 
 def _suite_gallagher(cfg):
@@ -435,12 +392,8 @@ def _suite_gallagher(cfg):
 
 
 def _suite_afe(cfg):
-    worst = 0.0
-    for d in (1, 3, 5, 11, 13, 21, 101):
-        gap = abs(charsums.afe_central_value(d).value - charsums.dirichlet_l_half(d))
-        _check(gap < 1e-6, f"d = {d}: oracle gap {gap} >= 1e-6")
-        worst = max(worst, gap)
-    return {"worst_gap": worst}
+    rows = checks.central_values((1, 3, 5, 11, 13, 21, 101))
+    return {"worst_gap": checks.worst(rows)["gap"]}
 
 
 SUITES = {

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from reslab import analytic, arith, charsums, cli, resonator, sieve
+from reslab import analytic, arith, charsums, checks, cli, resonator, sieve
 
 
 def _report(line: str) -> None:
@@ -36,15 +36,10 @@ class TestAcceptance:
     def test_02_orthogonality(self):
         """Square-branch character average matches (3/pi^2) D prod p/(p+1)
         to 2% at D = 10^5 and 0.7% at D = 10^6."""
-        worst = {1e5: 0.0, 1e6: 0.0}
-        for D, tol in ((1e5, 0.02), (1e6, 0.007)):
-            for n in (1, 9, 25, 225):
-                exact, main, err = charsums.orthogonality_check(n, D)
-                rel = abs(err) / main
-                worst[D] = max(worst[D], rel)
-                assert rel <= tol, (D, n, rel)
+        worst = {D: checks.worst(checks.orthogonality((1, 9, 25, 225), D, tol))
+                 for D, tol in ((1e5, 0.02), (1e6, 0.007))}
         _report(f"PASS criterion 2: orthogonality rel err "
-                f"{worst[1e5]:.2e} @ 1e5, {worst[1e6]:.2e} @ 1e6")
+                f"{worst[1e5]['gap']:.2e} @ 1e5, {worst[1e6]['gap']:.2e} @ 1e6")
 
     def test_03_pigeonhole_exactness(self, small_params, small_table):
         """min_d <= N/Den on every scan, and the d-outer numerator equals
@@ -97,45 +92,29 @@ class TestAcceptance:
         grid = (0.05, 0.1 + 0.5j, 0.2 + 2.0j, 0.3, 0.3 - 2.0j, 0.5,
                 0.5 + 1.0j, 0.75 + 4.0j, 1.0, 1.0 + 1.0j, 0.6 - 3.0j,
                 0.9 + 10.0j)
-        worst = 0.0
-        for s in grid:
-            fd, tail = analytic.F_direct(s, desk_table)
-            fb, cert = analytic.F_factored_bounded(s, desk_table)
-            gap = abs(fd - fb)
-            assert gap <= tail + cert, s
-            worst = max(worst, gap / (tail + cert))
+        worst = checks.worst(checks.factorization(grid, desk_table))
         _report(f"PASS criterion 6: factorization holds at 12 points "
-                f"(worst gap / certificate {worst:.3f} <= 1)")
+                f"(worst gap / certificate {worst['margin']:.3f} <= 1)")
 
     def test_07_contour_equivalence(self, three_prime_contour,
                                     three_prime_kernel):
         """S_via_contour matches the direct lattice sum within its
         certificate, and to 1e-6, at y in {2, 5, 10}."""
-        cv = three_prime_contour
-        gaps = []
-        for y, value, err in zip((2.0, 5.0, 10.0), cv.value, cv.err_estimate):
-            direct = three_prime_kernel.S(y)
-            gap = abs(value - direct)
-            assert gap <= err, y
-            assert value == pytest.approx(direct, abs=1e-6), y
-            gaps.append(gap)
+        rows = checks.contour((2.0, 5.0, 10.0), three_prime_contour,
+                              three_prime_kernel)
+        for row in rows:
+            assert row["contour"] == pytest.approx(row["direct"], abs=1e-6)
         _report(f"PASS criterion 7: contour route agrees at y = 2, 5, 10 "
-                f"(gaps {', '.join(f'{g:.1e}' for g in gaps)})")
+                f"(gaps {', '.join('%.1e' % row['gap'] for row in rows)})")
 
     def test_08_trig_inequality(self):
         """min of (2 cos t + 1) cos t over [5 pi/6, 7 pi/6] equals
-        (3 - sqrt 3)/2 to 1e-9, attained at both endpoints."""
-        lo, hi = 5 * math.pi / 6, 7 * math.pi / 6
-        grid = np.linspace(lo, hi, 100001)
-        vals = np.array([analytic.trig_product(float(t)) for t in grid])
-        assert float(vals.min()) >= analytic.TRIG_MIN - 1e-9
-        assert analytic.trig_product(lo) == pytest.approx(
-            analytic.TRIG_MIN, abs=1e-9)
-        assert analytic.trig_product(hi) == pytest.approx(
-            analytic.TRIG_MIN, abs=1e-9)
+        (3 - sqrt 3)/2 to 1e-12, attained at both endpoints."""
+        rows = checks.trig_minimum(100001)
         assert analytic.TRIG_MIN == pytest.approx(
             (3 - math.sqrt(3)) / 2, abs=1e-15)
-        _report(f"PASS criterion 8: trig minimum {vals.min():.10f} >= "
+        _report(f"PASS criterion 8: trig minimum "
+                f"{min(row['value'] for row in rows):.10f} >= "
                 f"(3 - sqrt 3)/2 = {analytic.TRIG_MIN:.10f}, "
                 f"attained at both endpoints")
 
@@ -154,19 +133,13 @@ class TestAcceptance:
     def test_10_afe_cross_check(self):
         """afe_central_value agrees with the partial-summation oracle to
         1e-6 for every valid d with 8d <= 10^4; all values >= -1e-6."""
-        ds = [d for d in range(1, 1251, 2) if arith.is_squarefree(d)]
-        worst = 0.0
-        vmin = math.inf
-        for d in ds:
-            v = charsums.afe_central_value(d).value
-            o = charsums.dirichlet_l_half(d)
-            worst = max(worst, abs(v - o))
-            vmin = min(vmin, v)
-            assert abs(v - o) <= 1e-6, d
-            assert v >= -1e-6, d
-        _report(f"PASS criterion 10: AFE vs oracle on {len(ds)} "
-                f"discriminants (worst gap {worst:.2e}, min value "
-                f"{vmin:.2e})")
+        rows = checks.central_values(
+            [d for d in range(1, 1251, 2) if arith.is_squarefree(d)])
+        vmin = min(row["value"] for row in rows)
+        assert vmin >= -1e-6
+        _report(f"PASS criterion 10: AFE vs oracle on {len(rows)} "
+                f"discriminants (worst gap {checks.worst(rows)['gap']:.2e}, "
+                f"min value {vmin:.2e})")
 
     def test_11_desk_negativity_exhibit(self, tmp_path, monkeypatch):
         """The D = 10^6 exhibit run finds a negative extremal truncated

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reslab import analytic, arith, resonator, smoothing
+from reslab import analytic, arith, checks, resonator, smoothing
 
 
 @pytest.fixture(scope="module")
@@ -259,9 +259,7 @@ class TestFactorization:
 
     @pytest.mark.parametrize("s", GRID)
     def test_direct_equals_factored(self, desk_table, s):
-        fd, tail = analytic.F_direct(s, desk_table)
-        fb, cert = analytic.F_factored_bounded(s, desk_table)
-        assert abs(fd - fb) <= tail + cert + 1e-6
+        checks.factorization([s], desk_table)
 
     @given(which=st.sampled_from(("small", "three", "three_l3")),
            sigma=st.floats(0.05, 2.0), t=st.floats(-30.0, 30.0),
@@ -349,9 +347,9 @@ class TestContour:
         # the fixture holds S_via_contour at y = 2, 5, 10, in that order
         cv = three_prime_contour
         i = (2.0, 5.0, 10.0).index(y)
-        direct = three_prime_kernel.S(y)
-        assert abs(cv.value[i] - direct) <= cv.err_estimate[i]
-        assert cv.value[i] == pytest.approx(direct, abs=1e-6)
+        [row] = checks.contour([y], analytic.ContourValue(
+            cv.value[i:i + 1], cv.err_estimate[i:i + 1]), three_prime_kernel)
+        assert row["contour"] == pytest.approx(row["direct"], abs=1e-6)
 
     def test_shifted_contour_agrees(self, three_prime_table,
                                     three_prime_params, three_prime_contour):
@@ -392,14 +390,7 @@ class TestRankin:
 
 class TestResonance:
     def test_trig_identity_minimum(self):
-        lo, hi = 5 * math.pi / 6, 7 * math.pi / 6
-        grid = np.linspace(lo, hi, 20001)
-        vals = [analytic.trig_product(t) for t in grid]
-        assert min(vals) >= analytic.TRIG_MIN - 1e-12
-        assert analytic.trig_product(lo) == pytest.approx(
-            analytic.TRIG_MIN, abs=1e-12)
-        assert analytic.trig_product(hi) == pytest.approx(
-            analytic.TRIG_MIN, abs=1e-12)
+        checks.trig_minimum(20001)
 
     def test_desk_report_frozen(self, desk_table, desk_params):
         rep = analytic.resonance_bound(desk_table, desk_params)

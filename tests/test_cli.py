@@ -378,6 +378,17 @@ class TestAfeCommand:
         byd = {row["d"]: row for row in rep["values"]}
         assert byd[3]["value"] == pytest.approx(0.7094580614652297, rel=1e-12)
 
+    def test_nan_gap_fails(self, small_cfg_path, tmp_path, monkeypatch,
+                           capsys):
+        # max(0.0, nan) is 0.0, so a worst gap taken by max would pass it
+        monkeypatch.setattr(charsums, "dirichlet_l_half", lambda d: math.nan)
+        assert cli.main(["--config", small_cfg_path, "afe",
+                         "--d", "1", "3"]) == cli.EXIT_ASSERT
+        assert "FAIL" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "out" / "afe_report.json").read_text())
+        assert [row["d"] for row in rep["values"]] == [1, 3]
+        assert math.isnan(rep["worst_gap"])
+
 
 class TestVerifySuites:
     @pytest.mark.parametrize("suite", ["arith", "trig", "trunc", "gallagher"])
@@ -420,16 +431,21 @@ class TestVerifySuites:
         assert 0.0 < worst <= 1.0
 
 
-# each suite's second route, broken: the oracle reads 0, and the factored
-# side of F is off by 1
+# each suite's second route, broken, and the point its failure names: the
+# oracle reads 0, F factored is off by 1, the contour reads y + 1 without
+# evaluating the line, and the main term is off by 100 %
 _BROKEN = {
-    "afe": "reslab.charsums.dirichlet_l_half = lambda d: 0.0",
-    "factorization": (
+    "afe": ("d", "reslab.charsums.dirichlet_l_half = lambda d: 0.0"),
+    "factorization": ("s", (
         "factored = reslab.analytic.F_factored_bounded\n"
         "def broken(s, table):\n"
         "    value, cert = factored(s, table)\n"
         "    return value + 1.0, cert\n"
-        "reslab.analytic.F_factored_bounded = broken"),
+        "reslab.analytic.F_factored_bounded = broken")),
+    "contour": ("y", "reslab.analytic.S_via_contour = lambda ys, table: "
+                "reslab.analytic.ContourValue(np.add(ys, 1.0), np.full(3, 1e-6))"),
+    "orthogonality": (
+        "n", "reslab.charsums.orthogonality_check = lambda n, D: (0.0, 1.0, -1.0)"),
 }
 
 
@@ -437,8 +453,9 @@ _BROKEN = {
 def test_failing_suite_fails_under_optimize(suite, tmp_path):
     # python -O strips assert statements; the suites' checks must survive it
     (tmp_path / "run.cfg").write_text(DESK_CFG)
-    code = ("import sys, reslab.analytic, reslab.charsums, reslab.cli\n"
-            f"{_BROKEN[suite]}\n"
+    point, broken = _BROKEN[suite]
+    code = ("import sys, numpy as np, reslab.analytic, reslab.charsums, "
+            f"reslab.cli\n{broken}\n"
             "sys.exit(reslab.cli.main(['--config', 'run.cfg', 'verify', "
             f"{suite!r}]))")
     proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=tmp_path,
@@ -449,4 +466,5 @@ def test_failing_suite_fails_under_optimize(suite, tmp_path):
     assert f"FAIL [{suite}]" in proc.stdout
     rep = json.loads((tmp_path / "out" / f"verify_{suite}.json").read_text())
     assert rep["passed"] is False
+    assert rep["error"].startswith(f"{point} = ")
     assert "gap" in rep["error"]

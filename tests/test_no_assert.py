@@ -1,6 +1,6 @@
 """No `assert` statement in the package.  `python -O` strips them, so a
 check written as one passes whatever it checks; the package raises its own
-exceptions instead (cli.CheckFailed for the verify suites).  Tests are
+exceptions instead (checks.CheckFailed for the cross-checks).  Tests are
 exempt."""
 
 import ast
