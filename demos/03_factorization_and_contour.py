@@ -31,15 +31,16 @@ for row in checks.factorization((0.3, 0.5, 0.75 + 1.0j, 1.0), table):
 # evaluates F on the line once for all three y
 kernel = charsums.PartialSumKernel(table)
 ys = (2.0, 5.0, 10.0)
+right = analytic.S_via_contour(ys, table)
 print("\n   y     S(y) direct      S(y) contour       gap")
-for row in checks.contour(ys, analytic.S_via_contour(ys, table), kernel):
+for row in checks.contour(ys, right, kernel):
     print(f"  {row['y']:4.0f}   {row['direct']:+.8f}   {row['contour']:+.8f}   "
           f"{row['gap']:.2e} (cert {row['bound']:.2e})")
 
 # shifting the line to Re(s) = -1/(log log D)^2 picks up the pole on a
-# small circle; circle + shifted line must equal the right-line value
-rep = analytic.contour_shift_check(5.0, table, params)
-print(f"\ncontour shift at y = 5: circle {rep.circle_term:+.6f} "
-      f"+ line {rep.shifted_term:+.6f} = {rep.total:+.6f}")
-print(f"right-line value {rep.right_line_value:+.6f}, "
-      f"gap {rep.gap:.2e} <= certificate {rep.certificate:.2e}")
+# small circle; circle + shifted line must equal the right-line values
+# just computed, which the check reads instead of building them again
+print("\n   y     circle + shifted   right line         gap")
+for row in checks.contour_shift(ys, right, table, params):
+    print(f"  {row['y']:4.0f}   {row['shifted']:+.8f}        "
+          f"{row['contour']:+.8f}   {row['gap']:.2e} (cert {row['bound']:.2e})")

@@ -57,7 +57,6 @@ from .analytic import (
     H_of_s,
     S_via_contour,
     TRIG_MIN,
-    contour_shift_check,
     hurwitz_em,
     resonance_bound,
     sigma2_bound_check,

@@ -9,15 +9,17 @@ with G a tame product (band factors times generic odd-prime factors) whose
 logarithm stays bounded to the right of Re(s) = -1/4.  This module carries
 both routes to F — the truncated double sum F_direct and the factored
 product F_factored_bounded — plus the inverse-Mellin contour evaluation of
-S(y), the Rankin-style truncation checks, and the resonance-gain /
-contour-shift diagnostic reports.
+S(y) on the right line and on the line shifted past the pole, the
+Rankin-style truncation checks, and the resonance-gain / sigma_2-bound
+diagnostic reports.
 
 F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
 scalar or an array of s, builds zeta as hurwitz_em(2s+1, 1) and H from
-H_of_s, and returns a certificate per node.  The contour, the shift check
-and the resonance report all call it, each with the truncation point its
-own accuracy needs; both contours take their lines from one vertical-line
-integral, which evaluates phi~ and F once per line for any number of y.
+H_of_s, and returns a certificate per node.  The contour, the shifted
+contour and the resonance report all call it, each with the truncation
+point its own accuracy needs; both contours take their lines from one
+vertical-line integral, which evaluates phi~ and F once per line for any
+number of y.
 hurwitz_em is the package's one Euler-Maclaurin routine; the central-value
 oracle in charsums takes its Hurwitz values at 1/2 from it too.
 
@@ -214,7 +216,8 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
     (l, e) pairs with g(e); and prod(1 + 2|r~(p)|/sqrt(p)).
     """
     bfull = resonator.b_sieve(params, m_max)
-    ells = resonator.band_products(band, ell_max)
+    ells = list(resonator.band_products(
+        tuple((p, 2.0 * rt) for p, rt in band), ell_max))
     # g(e) = prod_{p | e} (1/beta_p - 1) over the odd squarefree e | l
     ginv = {p: 1.0 / resonator.b_prime_factor(p, params) - 1.0
             for p, _ in band if p != 2}
@@ -230,7 +233,8 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
             pair_e.append(index.setdefault(e, len(index)))
             pair_g.append(g)
     big = math.prod(1.0 + 2.0 * abs(rt) / math.sqrt(p) for p, rt in band)
-    return (np.log([e for e, _, _ in ells]), np.array([w for _, w, _ in ells]),
+    return (np.log([e for e, _, _ in ells]),
+            np.array([w / math.sqrt(e) for e, w, _ in ells]),
             bfull, tuple(index), np.array(pair_ell), np.array(pair_e),
             np.array(pair_g), big)
 
@@ -341,29 +345,21 @@ def S_via_contour(y, table: CoefficientTable) -> ContourValue:
     return ContourValue(value, err)
 
 
-@dataclass(frozen=True)
-class ContourShiftReport:
-    y: float
-    circle_term: float
-    shifted_term: float
-    total: float
-    right_line_value: float
-    gap: float
-    certificate: float
-
-
-def contour_shift_check(y: float, table: CoefficientTable,
-                        params: ResonatorParams) -> ContourShiftReport:
-    """Shift the line to Re(s) = -1/(log log D)^2: a small circle at the
-    origin picks up the pole, the shifted line carries the rest, and the sum
-    must reproduce the right-line value S_via_contour(y).  The circle takes
-    512 trapezoid points; the shifted line cuts G at a log tail of 1e-3."""
+def shifted_contour(ys, table: CoefficientTable, params: ResonatorParams
+                    ) -> tuple[ContourValue, ContourValue]:
+    """The right line moved to Re(s) = -1/(log log D)^2, as arrays over ys:
+    a small circle around the pole at s = 0 and the shifted line, each with
+    its certificate.  Their sum is S(y), the value S_via_contour takes on
+    Re(s) = 1/4.  F is evaluated once on the circle, 512 trapezoid points
+    of radius min(1/log max(x, max ys, 3), 0.15), and once on the shifted
+    line, where G is cut at a log tail of 1e-3."""
+    ys = [float(v) for v in ys]
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
     if sigma_left <= -0.24:
         raise AccuracyError("shifted line is left of the G domain")
     # any circle around the pole works; clamp to stay inside the G domain
-    rho = min(1.0 / math.log(max(params.x, y, 3.0)), 0.15)
+    rho = min(1.0 / math.log(max(params.x, *ys, 3.0)), 0.15)
 
     # closed circle, trapezoid (spectrally accurate for a contour integral)
     th = np.arange(_N_CIRCLE) * (2 * math.pi / _N_CIRCLE)
@@ -371,20 +367,15 @@ def contour_shift_check(y: float, table: CoefficientTable,
     mell = smoothing.mellin_phi(s)
     fv, fcert = F_factored_bounded(s, table)
     circ_cert = rho * float(np.max(fcert)) * float(np.max(np.abs(mell)))
-    circ = np.mean(np.exp(s * math.log(y)) * mell * fv * s).real
+    circ = [np.mean(np.exp(s * math.log(y)) * mell * fv * s).real for y in ys]
 
     g_acc = 1e-3  # the shifted line sits near the domain edge; tail is costly
-    re_int, abs_int, _ = _vertical_line([y], sigma_left, table, g_acc)
-    shifted = float(re_int[0]) / math.pi
+    re_int, abs_int, _ = _vertical_line(ys, sigma_left, table, g_acc)
     # truncating log G at accuracy g_acc perturbs each node relatively;
     # weight that by the decaying integrand rather than its sup
-    line_cert = (math.exp(g_acc) - 1.0) * float(abs_int[0]) / math.pi
-
-    right = S_via_contour(y, table)
-    total = circ + shifted
-    cert = right.err_estimate + line_cert + circ_cert + 1e-6
-    return ContourShiftReport(y, circ, shifted, total, right.value,
-                              abs(total - right.value), cert)
+    line_cert = (math.exp(g_acc) - 1.0) * abs_int / math.pi
+    return (ContourValue(np.array(circ), np.full(len(ys), circ_cert)),
+            ContourValue(re_int / math.pi, line_cert))
 
 
 # --------------------------------------------------------------------------
@@ -400,14 +391,14 @@ class RankinReport:
     square_gap_weighted: float
 
 
-def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
-                              M1: float | None = None) -> RankinReport:
+def verify_rankin_truncations(table: CoefficientTable,
+                              params: ResonatorParams) -> RankinReport:
     """Three finite checks on the resonator coefficient mass.
 
     (i)  sum over all band-smooth squarefree n of |r(n)| d(n)/sqrt(n)
          equals prod_p (1 + 2|r(p)|/sqrt(p)) exactly;
-    (ii) the tail beyond M1 obeys the Rankin bound
-         M1^{-alpha} prod_p (1 + 2|r(p)| p^{alpha - 1/2}),
+    (ii) the tail beyond M1 = sqrt(max n), which holds half of the n, obeys
+         the Rankin bound M1^{-alpha} prod_p (1 + 2|r(p)| p^{alpha - 1/2}),
          alpha = 1/(log log D)^2;
     (iii) sum over all of them of r(n)^2 g(n) equals prod(1 + r(p)^2 g(p))
          for g = 1 and g(p) = p/(p+1).
@@ -432,8 +423,7 @@ def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
         prod *= 1.0 + 2.0 * abs(rvals[p]) / math.sqrt(p)
     identity_gap = abs(lhs - prod) / prod
 
-    if M1 is None:
-        M1 = 2.0 * max(n for n, _ in items)
+    M1 = math.sqrt(max(n for n, _ in items))
     alpha = 1.0 / math.log(math.log(params.D)) ** 2
     tail_lhs = math.fsum(
         abs(v) * arith.divisor_count(arith.factorize(n)) / math.sqrt(n)
@@ -458,9 +448,10 @@ def verify_rankin_truncations(table: CoefficientTable, params: ResonatorParams,
 # resonance gain and the sigma_2 bound shape
 # --------------------------------------------------------------------------
 
-def trig_product(theta: float) -> float:
-    """(2 cos t + 1) cos t; equals 1 + cos t + cos 2t pointwise."""
-    c = math.cos(theta)
+def trig_product(theta):
+    """(2 cos t + 1) cos t for a scalar or elementwise over an array of t;
+    equals 1 + cos t + cos 2t pointwise."""
+    c = np.cos(theta)
     return (2.0 * c + 1.0) * c
 
 
@@ -511,22 +502,18 @@ class Sigma2BoundReport:
     circle_sup_H: float
     circle_sup_relog_H: float
     line_sup_H: float
-    C1: float
-    C2: float
-    max_violation: float
+    C: float
 
 
 def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
-                       y_grid, kernel_S, constants: tuple[float, float] | None = None
-                       ) -> Sigma2BoundReport:
+                       y_grid, kernel_S) -> Sigma2BoundReport:
     """Both terms of the contour-shift bound for S(y):
 
-        |S(y)| <= C1 * log(max(x, y)) * sup_{|s| = 1/log max(x,y)} |H|
-                + C2 * (llD)^2 exp(-log y / (llD)^2) * sup_line |H|,
+        |S(y)| <= C * log(max(x, y)) * sup_{|s| = 1/log max(x,y)} |H|
+                + C * (llD)^2 exp(-log y / (llD)^2) * sup_line |H|,
 
-    llD = log log D.  With `constants` unset, fit the smallest C1 = C2
-    making the bound hold on the grid and report; with constants given,
-    report the worst violation (<= 0 means the bound holds).
+    llD = log log D.  Fits the smallest C making the bound hold on the
+    grid and reports it with the sups.
     """
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
@@ -538,17 +525,10 @@ def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
     ts = np.linspace(-50, 50, 501)
     sup_l = float(np.max(np.abs(H_of_s(sigma_left + 1j * ts, table))))
 
-    def bound(y, c1, c2):
+    def bound(y):
         t1 = math.log(max(params.x, y)) * sup_c
         t2 = lld2 * math.exp(-math.log(y) / lld2) * sup_l
-        return c1 * t1 + c2 * t2
+        return t1 + t2
 
-    svals = {y: abs(kernel_S(y)) for y in y_grid}
-    if constants is None:
-        c = max(svals[y] / bound(y, 1.0, 1.0) for y in y_grid)
-        c1 = c2 = c
-        viol = 0.0
-    else:
-        c1, c2 = constants
-        viol = max(svals[y] - bound(y, c1, c2) for y in y_grid)
-    return Sigma2BoundReport(sup_c, relog, sup_l, c1, c2, viol)
+    c = max(abs(kernel_S(y)) / bound(y) for y in y_grid)
+    return Sigma2BoundReport(sup_c, relog, sup_l, c)

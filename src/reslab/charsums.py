@@ -84,7 +84,7 @@ class PartialSumKernel:
     def __init__(self, table: CoefficientTable):
         self.table = table
         self.params = table.params
-        self._band = tuple((p, resonator.r_tilde(p, table))
+        self._band = tuple((p, 2.0 * resonator.r_tilde(p, table))
                            for p in sorted(table.pminus))
         self._lim = 0.0
         self._lattice = None
@@ -96,10 +96,11 @@ class PartialSumKernel:
                 f"partial-sum guard: need y <= {MAX_X}, got {y}")
         if lim > self._lim:
             cols = []
-            for ell, coef, ps in resonator.band_products(self._band, lim):
+            for ell, w, ps in resonator.band_products(self._band, lim):
                 mmax = math.isqrt(int(lim / ell))
                 m = np.arange(1.0, mmax + 1)
                 b = resonator.b_sieve(self.params, mmax, ps)[1:]
+                coef = w / math.sqrt(ell)
                 cols.append((np.full(mmax, float(ell)), m, coef * b / m,
                              ell * m * m))
             self._lattice = tuple(np.concatenate(c) for c in zip(*cols))
@@ -151,13 +152,12 @@ def derivative_bound_check(y: float, kernel: PartialSumKernel) -> tuple[float, f
 # --------------------------------------------------------------------------
 
 def sigma1(params: ResonatorParams, table: CoefficientTable, signs: SignState,
-           kernel: PartialSumKernel | None = None) -> float:
+           kernel: PartialSumKernel) -> float:
     """(2/(log x)^2) sum over high-band p of (eps_p / p) S(x/p).
 
     With the sign rule in force every term is -|S(x/p)|/p, so the total is
     nonpositive (ties S = 0 contribute zero either way).
     """
-    kernel = kernel or PartialSumKernel(table)
     x = params.x
     pref = 2.0 / math.log(x) ** 2
     return pref * math.fsum(
@@ -540,20 +540,17 @@ class RatioReport:
 
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
-                       signs: SignState,
-                       kernel: PartialSumKernel | None = None,
+                       signs: SignState, kernel: PartialSumKernel,
                        workers: int | None = None, sink=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
-    exact weighted-average pigeonhole  min <= Num/Den.  ``kernel``, when
-    given, is the partial-sum kernel behind the signs, reused for sigma_1
-    and sigma_2; ``sink`` receives the family's CSV lines as in
-    scan_family."""
+    exact weighted-average pigeonhole  min <= Num/Den.  ``kernel`` is the
+    partial-sum kernel behind the signs, reused for sigma_1 and sigma_2;
+    ``sink`` receives the family's CSV lines as in scan_family."""
     scan = scan_family(params, table, workers=workers, sink=sink)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom
-    kernel = kernel or PartialSumKernel(table)
     s1 = sigma1(params, table, signs, kernel)
     s2 = sigma2(params, kernel)
     dasym = denominator_asymptotic(params, table)

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import analytic, charsums
 
-AFE_GAP = 1e-6    # |AFE - oracle|
-TRIG_GAP = 1e-12  # |(2 cos t + 1) cos t - TRIG_MIN| at the minimum and ends
+AFE_GAP = 1e-6     # |AFE - oracle|
+TRIG_GAP = 1e-12   # |(2 cos t + 1) cos t - TRIG_MIN| at the minimum and ends
+SHIFT_SLACK = 1e-6  # added to the certificates of the shifted contour
 
 
 class CheckFailed(AssertionError):
@@ -66,6 +67,22 @@ def contour(ys, cv: analytic.ContourValue, kernel) -> list[dict]:
     return _verdict(rows, "y")
 
 
+def contour_shift(ys, cv: analytic.ContourValue, table, params) -> list[dict]:
+    """The pole's circle plus the shifted line against the right line, cv =
+    S_via_contour(ys) as already evaluated for a sequence ys, within cv's
+    error estimate, both certificates of the shifted contour and
+    SHIFT_SLACK."""
+    circle, line = analytic.shifted_contour(ys, table, params)
+    total = circle.value + line.value
+    bound = (cv.err_estimate + line.err_estimate + circle.err_estimate
+             + SHIFT_SLACK)
+    rows = [{"y": y, "shifted": shifted, "contour": right,
+             "gap": abs(shifted - right), "bound": b}
+            for y, shifted, right, b in zip(ys, total.tolist(),
+                                            cv.value.tolist(), bound.tolist())]
+    return _verdict(rows, "y")
+
+
 def central_values(ds) -> list[dict]:
     """L(1/2, chi_8d) by the AFE against the oracle, within AFE_GAP; the
     oracle runs first, so that its guard refuses d > MAX_D_EXACT before any
@@ -95,7 +112,7 @@ def trig_minimum(npoints: int) -> list[dict]:
     """(2 cos t + 1) cos t on npoints evenly spaced t in [5 pi/6, 7 pi/6]
     against TRIG_MIN, at the grid's ends and minimum, within TRIG_GAP."""
     theta = np.linspace(5 * math.pi / 6, 7 * math.pi / 6, npoints)
-    values = (2 * np.cos(theta) + 1) * np.cos(theta)
+    values = analytic.trig_product(theta)
     rows = []
     for i in (0, int(np.argmin(values)), npoints - 1):
         value = float(values[i])

@@ -362,9 +362,10 @@ def _suite_trunc(cfg):
             ("square_gap_weighted", rep.square_gap_weighted, 0.01)):
         if not gap < bound:
             raise checks.CheckFailed(f"{name}: gap {gap} >= {bound}")
-    if not rep.tail_lhs <= rep.tail_rhs:
+    # an empty tail would make the bound vacuous
+    if not 0.0 < rep.tail_lhs <= rep.tail_rhs:
         raise checks.CheckFailed(
-            f"Rankin tail: {rep.tail_lhs} > bound {rep.tail_rhs}")
+            f"Rankin tail: {rep.tail_lhs} not in (0, {rep.tail_rhs}]")
     return asdict(rep)
 
 

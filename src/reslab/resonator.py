@@ -253,24 +253,22 @@ def b_prime_factor(p: int, params: ResonatorParams) -> float:
     return (p / (p + 1.0)) * (1.0 + r2) / (1.0 + r2 * p / (p + 1.0))
 
 
-def band_products(band, limit: float) -> list[tuple[int, float, tuple[int, ...]]]:
+def band_products(band, limit: float):
     """The squarefree products l <= limit of the band primes.
 
-    `band` holds (p, r~(p)) in ascending p.  Returns (l, c_l, primes of l),
-    l = 1 first, with c_l = r~(l) d(l) / sqrt(l): the product of 2 r~(p)
-    over p | l, taken in ascending prime order, over sqrt(l).
+    `band` holds (p, w(p)) in ascending p.  Yields (l, w(l), primes of l),
+    l = 1 first, with w(l) the product of w(p) over p | l, taken in
+    ascending prime order, depth first.
     """
-    out = []
     stack = [(0, 1, 1.0, ())]
     while stack:
-        idx, ell, coef, ps = stack.pop()
-        out.append((ell, coef / math.sqrt(ell), ps))
+        idx, ell, weight, ps = stack.pop()
+        yield ell, weight, ps
         for i in range(idx, len(band)):
-            p, rt = band[i]
+            p, w = band[i]
             if ell * p > limit:
                 break
-            stack.append((i + 1, ell * p, coef * 2.0 * rt, ps + (p,)))
-    return out
+            stack.append((i + 1, ell * p, weight * w, ps + (p,)))
 
 
 def b_sieve(params: ResonatorParams, m_max: int, ell_primes=()) -> np.ndarray:
@@ -302,34 +300,23 @@ def assign_signs(table: CoefficientTable, s_evaluator) -> SignState:
 
 def enumerate_support(table: CoefficientTable,
                       cap: int = MAX_SUPPORT) -> tuple[tuple[int, float], ...]:
-    """All n <= params.Z that are products of distinct band primes, with r(n).
-
-    Depth-first products with early cutoff; sorted by n.  High-band primes
-    require signs to have been assigned.  Raises SupportTooLarge as soon as
-    more than `cap` entries are found.
+    """All n <= params.Z that are products of distinct band primes, with
+    r(n) != 0, sorted by n.  High-band primes require signs to have been
+    assigned.  Raises SupportTooLarge, and stops the walk, as soon as more
+    than `cap` entries are found.
     """
-    Z = table.params.Z
-    primes = sorted(set(table.pminus) | set(table.pplus))
     for p in table.pplus:
         if p not in table.r_at_prime:
             raise ParamsError("high-band values missing: assign signs first")
-    out = [(1, 1.0)]
-
-    def rec(idx, n, val):
-        if len(out) > cap:
-            raise SupportTooLarge(
-                f"support exceeds {cap} entries; shrink Z or the bands")
-        for i in range(idx, len(primes)):
-            p = primes[i]
-            m = n * p
-            if m > Z:
-                break
-            v = val * table.r_at_prime[p]
-            if v != 0.0:
-                out.append((m, v))
-                rec(i + 1, m, v)
-
-    rec(0, 1, 1.0)
+    band = [(p, table.r_at_prime[p])
+            for p in sorted(set(table.pminus) | set(table.pplus))]
+    out = []
+    for n, v, _ in band_products(band, table.params.Z):
+        if v != 0.0:
+            out.append((n, v))
+            if len(out) > cap:
+                raise SupportTooLarge(
+                    f"support exceeds {cap} entries; shrink Z or the bands")
     out.sort()
     return tuple(out)
 

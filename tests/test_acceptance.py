@@ -47,7 +47,7 @@ class TestAcceptance:
         kernel = charsums.PartialSumKernel(small_table)
         signs = resonator.assign_signs(small_table, kernel.S)
         rep = charsums.pigeonhole_extract(small_params, small_table, signs,
-                                          workers=1)
+                                          kernel, workers=1)
         assert rep.extremal_value <= rep.ratio + 1e-9 * abs(rep.ratio)
         triple = charsums.numerator_exact_triple(small_params, small_table)
         assert abs(rep.N - triple) <= 1e-9

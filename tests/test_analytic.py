@@ -353,28 +353,64 @@ class TestContour:
 
     def test_shifted_contour_agrees(self, three_prime_table,
                                     three_prime_params, three_prime_contour):
-        rep = analytic.contour_shift_check(5.0, three_prime_table,
-                                           three_prime_params)
-        assert rep.gap <= rep.certificate
-        assert rep.right_line_value == pytest.approx(1.5057442856798051,
-                                                     abs=1e-6)
-        # the scalar call inside the check and the fixture's array call
-        # give the same bits
-        assert rep.right_line_value == three_prime_contour.value[1]
+        # the fixture holds S_via_contour at y = 2, 5, 10, in that order
+        rows = checks.contour_shift((2.0, 5.0, 10.0), three_prime_contour,
+                                    three_prime_table, three_prime_params)
+        assert [row["y"] for row in rows] == [2.0, 5.0, 10.0]
+        assert rows[1]["contour"] == pytest.approx(1.5057442856798051,
+                                                   abs=1e-6)
+        assert rows[1]["shifted"] == pytest.approx(1.5057514842786266,
+                                                   rel=1e-12)
+
+    def test_shift_reads_the_given_line(self, three_prime_table,
+                                        three_prime_params, monkeypatch):
+        # F stubbed to 1 and an infinite bound: the call count is the point
+        calls = []
+
+        def unit_f(s, table, pmax=200_000):
+            calls.append(pmax)
+            return np.ones(np.shape(s), dtype=complex), np.zeros(np.shape(s))
+
+        def no_line(y, table):
+            raise AssertionError("the check evaluated the right line")
+
+        monkeypatch.setattr(analytic, "F_factored_bounded", unit_f)
+        monkeypatch.setattr(analytic, "S_via_contour", no_line)
+        cv = analytic.ContourValue(np.zeros(3), np.full(3, np.inf))
+        rows = checks.contour_shift((2.0, 5.0, 10.0), cv, three_prime_table,
+                                    three_prime_params)
+        assert len(rows) == 3
+        assert len(calls) == 2
+
+    def test_shift_off_by_one_fails(self, three_prime_table,
+                                    three_prime_params, monkeypatch):
+        right = analytic.ContourValue(np.array([1.0, 2.0, 3.0]),
+                                      np.full(3, 1e-3))
+
+        def off_by_one(ys, table, params):
+            zero = analytic.ContourValue(np.zeros(3), np.zeros(3))
+            return analytic.ContourValue(right.value + 1.0, np.zeros(3)), zero
+
+        monkeypatch.setattr(analytic, "shifted_contour", off_by_one)
+        with pytest.raises(checks.CheckFailed) as err:
+            checks.contour_shift((2.0, 5.0, 10.0), right, three_prime_table,
+                                 three_prime_params)
+        assert str(err.value).startswith("y = ")
+        assert [row["gap"] for row in err.value.rows] == [1.0, 1.0, 1.0]
 
 
 class TestRankin:
     def test_small_table_report(self, small_table, small_params):
         rep = analytic.verify_rankin_truncations(small_table, small_params)
         assert rep.identity_gap < 1e-14
-        assert rep.tail_lhs <= rep.tail_rhs
+        assert 0.0 < rep.tail_lhs <= rep.tail_rhs
         assert rep.square_gap_flat < 1e-14
         assert rep.square_gap_weighted < 1e-14
 
     def test_tail_bound_binds_midway(self, small_table, small_params):
-        # cut inside the support so the tail is nonempty yet still bounded
-        rep = analytic.verify_rankin_truncations(small_table, small_params,
-                                                 M1=100.0)
+        # the cut at sqrt(max n) leaves half of the n in the tail, which
+        # is nonempty yet still bounded
+        rep = analytic.verify_rankin_truncations(small_table, small_params)
         assert rep.tail_lhs > 0.0
         assert rep.tail_lhs <= rep.tail_rhs
 
@@ -391,6 +427,10 @@ class TestRankin:
 class TestResonance:
     def test_trig_identity_minimum(self):
         checks.trig_minimum(20001)
+        theta = np.linspace(5 * math.pi / 6, 7 * math.pi / 6, 20001)
+        product = analytic.trig_product(theta)
+        assert np.max(np.abs(product - (1 + np.cos(theta)
+                                         + np.cos(2 * theta)))) <= 1e-15
 
     def test_desk_report_frozen(self, desk_table, desk_params):
         rep = analytic.resonance_bound(desk_table, desk_params)
@@ -408,9 +448,5 @@ class TestSigma2Bound:
     def test_fit_then_freeze(self, desk_table, desk_params, desk_kernel):
         fit = analytic.sigma2_bound_check(desk_table, desk_params,
                                           self.Y_GRID, desk_kernel.S)
-        assert fit.C1 == fit.C2
-        assert fit.C1 == pytest.approx(0.3041928708911808, rel=1e-10)
-        frozen = analytic.sigma2_bound_check(
-            desk_table, desk_params, self.Y_GRID, desk_kernel.S,
-            constants=(0.305, 0.305))
-        assert frozen.max_violation <= 0.0
+        assert fit.C == pytest.approx(0.3041928708911808, rel=1e-10)
+        assert fit.C <= 0.305

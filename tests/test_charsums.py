@@ -343,9 +343,10 @@ class TestFamilyScan:
 
 
 class TestRatioPipeline:
-    def test_small_report(self, small_params, small_table, small_signs):
+    def test_small_report(self, small_params, small_table, small_signs,
+                          small_kernel):
         rep = charsums.pigeonhole_extract(small_params, small_table,
-                                          small_signs, workers=1)
+                                          small_signs, small_kernel, workers=1)
         assert rep.extremal_value <= rep.ratio + 1e-12
         assert rep.N == pytest.approx(65.88514883761619, rel=1e-13)
         assert rep.Den == pytest.approx(40.60834824400651, rel=1e-13)
@@ -356,9 +357,10 @@ class TestRatioPipeline:
         d = dataclasses.asdict(rep)
         assert d["ratio"] == rep.ratio and d["extremal_d"] == 181
 
-    def test_desk_report(self, desk_params, desk_table, desk_signs):
+    def test_desk_report(self, desk_params, desk_table, desk_signs,
+                         desk_kernel):
         rep = charsums.pigeonhole_extract(desk_params, desk_table, desk_signs,
-                                          workers=2)
+                                          desk_kernel, workers=2)
         assert rep.Den == pytest.approx(215071.31383520033, rel=1e-13)
         assert rep.N == pytest.approx(343369.3786818204, rel=1e-13)
         assert rep.ratio == pytest.approx(1.5965373185237024, rel=1e-13)
