@@ -39,11 +39,8 @@ import numpy as np
 
 from . import __version__, arith, resonator, smoothing
 from .analytic import hurwitz_em
-from .resonator import CoefficientTable, ResonatorParams, SignState
-
-
-class WorkEstimateError(RuntimeError):
-    """A brute-force path was asked to do more work than its guard allows."""
+from .resonator import (CoefficientTable, ResonatorParams, SignState,
+                        WorkEstimateError)
 
 
 class EmptyFamilyError(RuntimeError):
@@ -301,6 +298,15 @@ def _scan_state(params, table):
     }
 
 
+def _admissible(lo: int, hi: int) -> np.ndarray:
+    """The d in [lo, hi] with 2d squarefree: odd d that pass the
+    squarefree sieve, increasing."""
+    d = np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
+    if d.size:
+        d = d[arith.squarefree_sieve(lo, hi)[d - lo].astype(bool)]
+    return d
+
+
 def _chunk_arrays(lo: int, hi: int, state: dict):
     """Admissible d in [lo, hi] with weights R(d)^2 and truncated sums.
 
@@ -310,10 +316,7 @@ def _chunk_arrays(lo: int, hi: int, state: dict):
     and of the truncation, so their floats do not depend on how chi was
     obtained.
     """
-    d = np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
-    if d.size:
-        sf = arith.squarefree_sieve(lo, hi)[d - lo].astype(bool)
-        d = d[sf]
+    d = _admissible(lo, hi)
     if d.size == 0:
         return d, np.zeros(0), np.zeros(0)
     m8 = 8 * d
@@ -535,8 +538,8 @@ class RatioReport:
     offdiag_bound_observed: float
     extremal_d: int
     extremal_value: float
-    admissible: int = 0
-    sum_rplus_sq: float = 0.0
+    admissible: int
+    sum_rplus_sq: float
 
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
@@ -583,12 +586,7 @@ def orthogonality_check(n: int, D: float) -> tuple[float, float, float]:
         tab = arith.jacobi_table(n)
         parts = []
         for a in range(lo, hi + 1, arith.SEGMENT):
-            b = min(a + arith.SEGMENT - 1, hi)
-            d = np.arange(a | 1, b + 1, 2, dtype=np.int64)
-            if d.size == 0:
-                continue
-            sf = arith.squarefree_sieve(a, b)[d - a].astype(bool)
-            d = d[sf]
+            d = _admissible(a, min(a + arith.SEGMENT - 1, hi))
             parts.append(float(np.sum(tab[(8 * d) % n], dtype=np.int64)))
         exact = math.fsum(parts)
     main = 0.0

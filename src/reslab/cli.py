@@ -7,23 +7,28 @@ partial outputs.
 
 Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
 abort.  A failed check is a checks.CheckFailed, raised by an explicit
-test, not an ``assert``, so ``python -O`` keeps it.  Config
-errors include a schedule value (D, a, L, x, B, Z or a band edge) that is
-NaN or infinite, a RESLAB_WORKERS that is not a positive integer, an
-``afe --d`` up to charsums.MAX_D_EXACT that is not odd and squarefree, a
-``ratio`` whose family holds no admissible d (charsums.EmptyFamilyError),
-a ``scan-s`` whose npoints is below 1 or whose y_lo, y_hi are not finite
-with 0 < y_lo < y_hi, and an outdir that cannot be a directory because a
-file stands on its path; a command that writes checks its outdir before
-any work, but creates it only when it writes.  Work-estimate aborts
-(charsums.WorkEstimateError) are a ``ratio`` past the scan's guards on D,
-support size and x, a schedule whose support
-holds more than resonator.MAX_SUPPORT entries (resonator.SupportTooLarge,
-raised while it is enumerated), an ``afe --d`` above
-charsums.MAX_D_EXACT, where the oracle would need O(d) memory and time,
-a ``scan-s --y-hi`` above charsums.MAX_X, and any command whose sign
-assignment asks for a partial sum S(x/p) above charsums.MAX_X.  Each ends
-with one line on stderr, not a traceback.
+test, not an ``assert``, so ``python -O`` keeps it.  Config errors
+include a config file that cannot be read or is not UTF-8, a schedule
+value (D, a, L, x, B, Z or a band edge) that is NaN or infinite, a band
+that admits the prime 2 (pminus_lo <= 2 or B/4 <= 2), a RESLAB_WORKERS
+that is not a positive integer, an ``afe --d`` up to charsums.MAX_D_EXACT
+that is not odd and squarefree, a ``ratio`` whose family holds no
+admissible d (charsums.EmptyFamilyError), a ``scan-s`` whose npoints is
+below 1 or whose y_lo, y_hi are not finite with 0 < y_lo < y_hi, and an
+outdir that is empty or cannot be a directory because a file stands on
+its path; a command that writes checks its outdir before any work, but
+creates it only when it writes.  Work-estimate aborts are one class,
+resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
+resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
+past the scan's guards on D, support size and x, a schedule whose support
+holds more than resonator.MAX_SUPPORT entries (raised while it is
+enumerated), an ``afe --d`` above charsums.MAX_D_EXACT, where the oracle
+would need O(d) memory and time, a ``scan-s --y-hi`` above charsums.MAX_X,
+and any command whose sign assignment asks for a partial sum S(x/p) above
+charsums.MAX_X.  Each ends with one line on stderr, not a traceback.
+
+The worker count of ``ratio``'s family scan is RESLAB_WORKERS, else the
+CPU count; it has no config key.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
 computes the report: the process that scans a chunk also formats its CSV
@@ -61,7 +66,7 @@ class ConfigError(ValueError):
 
 
 _FLOAT_KEYS = {"a", "L", "x", "B", "Z", "pminus_lo", "pminus_hi"}
-_INT_KEYS = {"D", "workers", "seed"}
+_INT_KEYS = {"D", "seed"}
 _STR_KEYS = {"mode", "outdir"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
@@ -77,7 +82,6 @@ class RunConfig:
     Z: float | None = None
     pminus_lo: float | None = None
     pminus_hi: float | None = None
-    workers: int | None = None
     seed: int = 0
     outdir: str = "."
 
@@ -112,13 +116,8 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.parse(fh.read())
-        except OSError as e:
+        except (OSError, UnicodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-
-    def emit(self) -> str:
-        lines = [f"{key} = {getattr(self, key)}" for key in sorted(_ALL_KEYS)
-                 if getattr(self, key) is not None]
-        return "\n".join(lines) + "\n"
 
     def to_params(self) -> resonator.ResonatorParams:
         kw = {}
@@ -127,15 +126,6 @@ class RunConfig:
             if v is not None:
                 kw[key] = v
         return resonator.build_params(self.D, a=self.a, mode=self.mode, **kw)
-
-    def worker_count(self) -> int:
-        """RESLAB_WORKERS, else the config's workers, else the CPU count."""
-        if self.workers and not os.environ.get("RESLAB_WORKERS"):
-            return self.workers
-        try:
-            return charsums.default_workers()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -152,8 +142,10 @@ def canonical_json(payload: dict) -> str:
 
 
 def _check_outdir(outdir: str) -> None:
-    """Refuse an outdir that os.makedirs could not create: the nearest
-    existing path along it must be a directory."""
+    """Refuse an outdir that os.makedirs could not create: it must not be
+    empty, and the nearest existing path along it must be a directory."""
+    if not outdir:
+        raise ConfigError("outdir is empty")
     path = os.path.abspath(outdir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -201,8 +193,11 @@ def _build_pipeline(cfg: RunConfig):
 
 def cmd_ratio(cfg: RunConfig) -> int:
     t0 = time.time()
+    try:
+        workers = charsums.default_workers()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     params, table, signs, kernel = _build_pipeline(cfg)
-    workers = cfg.worker_count()
     with _family_csv(cfg.outdir) as sink:
         report = charsums.pigeonhole_extract(
             params, table, signs, kernel, workers=workers, sink=sink)
@@ -267,7 +262,7 @@ def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
     if not (0 < y_lo < y_hi):
         raise ConfigError("need 0 < y_lo < y_hi")
     if y_hi > charsums.MAX_X:
-        raise charsums.WorkEstimateError(
+        raise resonator.WorkEstimateError(
             f"scan-s guard: need y_hi <= {charsums.MAX_X}, got {y_hi}")
     params, table, signs, kernel = _build_pipeline(cfg)
     ys = np.exp(np.linspace(math.log(y_lo), math.log(y_hi), npoints))
@@ -466,7 +461,7 @@ def main(argv=None) -> int:
             charsums.EmptyFamilyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (charsums.WorkEstimateError, resonator.SupportTooLarge) as e:
+    except resonator.WorkEstimateError as e:
         print(f"work estimate exceeded: {e}", file=sys.stderr)
         return EXIT_WORK
     except (AssertionError, smoothing.AccuracyError) as e:

@@ -34,14 +34,16 @@ BAND_LO_EXP = 5.0 * math.pi / 3.0
 BAND_HI_EXP = 7.0 * math.pi / 3.0
 # most support entries any run enumerates; the family scan's guard too
 MAX_SUPPORT = 10**5
+# largest band edge build_table sieves up to: 10 MB of sieve flags
+MAX_SIEVE = 10**7
 
 
 class ParamsError(ValueError):
     """Invalid or infeasible parameter schedule."""
 
 
-class SupportTooLarge(RuntimeError):
-    """Support enumeration exceeded the configured entry cap."""
+class WorkEstimateError(RuntimeError):
+    """A brute-force path was asked to do more work than its guard allows."""
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,12 @@ class ResonatorParams:
     mode: str
 
     def __post_init__(self):
-        if not (self.pminus_lo < self.pminus_hi):
-            raise ParamsError("pminus band is empty or reversed")
-        if self.B / 4.0 < 2.0:
-            raise ParamsError(f"B = {self.B}: need B/4 >= 2")
+        # r lives on odd squarefree integers: neither band may admit 2
+        if not (2.0 < self.pminus_lo < self.pminus_hi):
+            raise ParamsError(f"need 2 < pminus_lo < pminus_hi, got "
+                              f"[{self.pminus_lo}, {self.pminus_hi})")
+        if not self.B / 4.0 > 2.0:
+            raise ParamsError(f"B = {self.B}: need B/4 > 2")
         if self.B > self.x * (1 + 1e-12):
             raise ParamsError(f"B = {self.B} exceeds x = {self.x}")
         if abs(self.Y - math.sqrt(self.Z / self.x)) > 1e-12 * max(1.0, self.Y):
@@ -208,10 +212,16 @@ def build_table(params: ResonatorParams) -> CoefficientTable:
 
     When the bands overlap at desk scale, the low band wins: high-band
     primes already in P- are dropped from P+ so that r stays well defined.
+    Raises WorkEstimateError, before sieving, when B or pminus_hi is above
+    MAX_SIEVE.
     """
+    if max(params.B, params.pminus_hi) > MAX_SIEVE:
+        raise WorkEstimateError(
+            f"sieve guard: need B and pminus_hi <= {MAX_SIEVE}, got "
+            f"B = {params.B}, pminus_hi = {params.pminus_hi}")
     pminus = tuple(int(p) for p in arith.primes_in(params.pminus_lo, params.pminus_hi))
     hi = math.nextafter(params.B, math.inf)
-    pplus_all = arith.primes_in(max(2.0, params.B / 4.0), hi)
+    pplus_all = arith.primes_in(params.B / 4.0, hi)
     pm = set(pminus)
     pplus = tuple(int(p) for p in pplus_all if int(p) not in pm)
     vals = {p: r_minus(p, params) for p in pminus}
@@ -298,12 +308,11 @@ def assign_signs(table: CoefficientTable, s_evaluator) -> SignState:
     return SignState(MappingProxyType(eps), MappingProxyType(svals))
 
 
-def enumerate_support(table: CoefficientTable,
-                      cap: int = MAX_SUPPORT) -> tuple[tuple[int, float], ...]:
+def enumerate_support(table: CoefficientTable) -> tuple[tuple[int, float], ...]:
     """All n <= params.Z that are products of distinct band primes, with
     r(n) != 0, sorted by n.  High-band primes require signs to have been
-    assigned.  Raises SupportTooLarge, and stops the walk, as soon as more
-    than `cap` entries are found.
+    assigned.  Raises WorkEstimateError, and stops the walk, as soon as
+    more than MAX_SUPPORT entries are found.
     """
     for p in table.pplus:
         if p not in table.r_at_prime:
@@ -314,9 +323,9 @@ def enumerate_support(table: CoefficientTable,
     for n, v, _ in band_products(band, table.params.Z):
         if v != 0.0:
             out.append((n, v))
-            if len(out) > cap:
-                raise SupportTooLarge(
-                    f"support exceeds {cap} entries; shrink Z or the bands")
+            if len(out) > MAX_SUPPORT:
+                raise WorkEstimateError(
+                    f"support exceeds {MAX_SUPPORT} entries; shrink Z or the bands")
     out.sort()
     return tuple(out)
 

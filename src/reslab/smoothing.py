@@ -117,35 +117,39 @@ def _mellin_raw(s, npanels):
     return vals
 
 
-def mellin_phi(s, accuracy: float = 1e-10):
+_MELLIN_ACCURACY = 1e-10
+
+
+def mellin_phi(s):
     """Mellin transform phi~(s) = int_0^inf phi(u) u^{s-1} du, continued
     across the strip via integration by parts; s = 0 is the simple pole.
 
     The panel count is doubled until two successive composite rules agree
-    within `accuracy`; the last difference is the error certificate.
+    within _MELLIN_ACCURACY = 1e-10; the last difference is the error
+    certificate.
     """
     sa = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(sa == 0):
         raise ValueError("phi~ has a pole at s = 0")
     if np.any(sa.real <= -10):
         raise ValueError("mellin_phi supported for Re(s) > -10")
-    raw = _mellin_final(sa, accuracy)
+    raw = _mellin_final(sa)
     out = -raw / sa
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
-def _mellin_final(sa, accuracy):
+def _mellin_final(sa):
     npanels = _panels_for(sa)
     prev = _mellin_raw(sa, npanels)
     for _ in range(6):
         npanels *= 2
         cur = _mellin_raw(sa, npanels)
-        if np.max(np.abs(cur - prev)) <= accuracy:
+        if np.max(np.abs(cur - prev)) <= _MELLIN_ACCURACY:
             return cur
         prev = cur
         if npanels > 2048:
             break
-    raise AccuracyError(f"Mellin quadrature did not reach {accuracy}")
+    raise AccuracyError(f"Mellin quadrature did not reach {_MELLIN_ACCURACY}")
 
 
 def _panels_for(sa):

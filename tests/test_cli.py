@@ -39,9 +39,9 @@ def small_cfg_path(tmp_path):
 class TestRunConfig:
     def test_parse_round_trip(self):
         cfg = cli.RunConfig.parse(SMALL_CFG)
-        again = cli.RunConfig.parse(cfg.emit())
-        assert again == cfg
-        assert cfg.D == 200 and cfg.x == 30.0 and cfg.mode == "explicit"
+        assert cfg == cli.RunConfig(
+            mode="explicit", D=200, L=2.718281828459045, x=30.0, B=30.0,
+            Z=150.0, pminus_lo=10.0, pminus_hi=20.0)
 
     def test_comments_and_blanks_ignored(self):
         cfg = cli.RunConfig.parse("\n# only a comment\nD = 44  # inline\n\n")
@@ -71,12 +71,10 @@ class TestRunConfig:
         params = cli.RunConfig.parse(SMALL_CFG).to_params()
         assert params.D == 200 and params.x == 30.0
 
-    def test_worker_count_env_override(self, monkeypatch):
-        cfg = cli.RunConfig.parse("workers = 7\n")
-        monkeypatch.delenv("RESLAB_WORKERS", raising=False)
-        assert cfg.worker_count() == 7
-        monkeypatch.setenv("RESLAB_WORKERS", "2")
-        assert cfg.worker_count() == 2
+    def test_workers_is_not_a_key(self):
+        # RESLAB_WORKERS is the one worker setting
+        with pytest.raises(cli.ConfigError, match="unknown key 'workers'"):
+            cli.RunConfig.parse("workers = 2\n")
 
 
 class TestReports:
@@ -185,8 +183,9 @@ def _outdir_through_file(tmp_path):
 class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "empty_family",
                                       "x_nan", "B_nan", "Z_nan", "Z_inf",
-                                      "Z_neg", "Z_zero", "L_neg",
-                                      "outdir_not_dir"])
+                                      "Z_neg", "Z_zero", "L_neg", "B_8",
+                                      "outdir_not_dir", "outdir_empty",
+                                      "not_utf8"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         cfg = small_cfg_path
         workers = "1"
@@ -200,11 +199,19 @@ class TestErrorPaths:
             cfg = str(empty)
         elif case == "outdir_not_dir":
             cfg = _outdir_through_file(tmp_path)
+        elif case in ("outdir_empty", "not_utf8"):
+            bad = tmp_path / "bad.cfg"
+            if case == "outdir_empty":
+                # abspath("") is the cwd, but os.makedirs("") fails
+                bad.write_text(SMALL_CFG + "outdir =\n")
+            else:
+                bad.write_bytes(SMALL_CFG.encode() + b"# \xff\n")
+            cfg = str(bad)
         else:
             # NaN slips past every comparison the schedule makes, an
             # infinite Z puts no bound on the support, Z < 0 reaches
-            # sqrt(Z / x), L < 0 a complex L^(5 pi/3), and Z = 0 an empty
-            # schedule
+            # sqrt(Z / x), L < 0 a complex L^(5 pi/3), Z = 0 an empty
+            # schedule, and B = 8 puts the prime 2 in the high band
             key, value = case.split("_")
             value = {"Z_neg": "-1", "Z_zero": "0", "L_neg": "-2"}.get(case, value)
             bad = tmp_path / "bad.cfg"
@@ -217,6 +224,8 @@ class TestErrorPaths:
         assert proc.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stdout == ""
+        assert not os.path.exists(tmp_path / "family_sums.csv")
         outdir = cli.RunConfig.load(small_cfg_path).outdir
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv"))
         assert not os.path.exists(os.path.join(outdir, "family_sums.csv.tmp"))
@@ -265,6 +274,18 @@ class TestErrorPaths:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "support exceeds" in proc.stderr
         assert not os.path.exists(tmp_path / "out")
+
+    def test_sieve_guard_exit_three(self, tmp_path):
+        # a feasible asymptotic schedule whose bands would need a sieve to
+        # B = x = D^a = 10^30; the table refuses before sieving
+        (tmp_path / "huge.cfg").write_text(
+            f"mode = asymptotic\na = 0.2\nD = {10**150}\n")
+        proc = _run_cli(["--config", "huge.cfg", "params"], tmp_path)
+        assert proc.returncode == cli.EXIT_WORK
+        assert "verdict: FEASIBLE" in proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "sieve guard" in proc.stderr
 
     def test_oracle_guard_exit_three(self, tmp_path):
         proc = _run_cli(["afe", "--d", str(charsums.MAX_D_EXACT + 1)], tmp_path)

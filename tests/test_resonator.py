@@ -24,6 +24,9 @@ class TestBuildParams:
         assert p.Z == pytest.approx(min(p.x * D ** p.delta, p.x ** 1.5), rel=1e-12)
         assert p.L == pytest.approx(
             math.sqrt(math.log(p.Y) * math.log(math.log(p.Y))), rel=1e-12)
+        # feasible, but B = x = 10^30: the table refuses before sieving
+        with pytest.raises(resonator.WorkEstimateError, match="sieve guard"):
+            resonator.build_table(p)
 
     def test_explicit_band_endpoints(self, desk_params):
         assert desk_params.pminus_lo == pytest.approx(2.0 ** (5 * math.pi / 3))
@@ -42,8 +45,17 @@ class TestBuildParams:
             resonator.build_params(10**6, mode="explicit", **kw)
 
     def test_b_quarter_floor(self):
-        with pytest.raises(resonator.ParamsError):
-            resonator.build_params(10**6, mode="explicit", L=2.0, x=200.0, B=5.0)
+        # B = 8 would put the prime 2 in the high band
+        for B in (5.0, 8.0):
+            with pytest.raises(resonator.ParamsError, match="B/4 > 2"):
+                resonator.build_params(10**6, mode="explicit", L=2.0,
+                                       x=200.0, B=B)
+
+    @pytest.mark.parametrize("pminus_lo", [1.0, 2.0])
+    def test_low_band_excludes_two(self, pminus_lo):
+        with pytest.raises(resonator.ParamsError, match="2 < pminus_lo"):
+            resonator.build_params(10**6, mode="explicit", L=2.0, x=200.0,
+                                   pminus_lo=pminus_lo)
 
     def test_y_consistency_enforced(self):
         with pytest.raises(resonator.ParamsError):
@@ -141,9 +153,14 @@ class TestSupport:
         assert all(n <= desk_params.Z for n, _ in desk_table.support)
         assert len(desk_table.support) == 47
 
-    def test_cap_enforced(self, desk_table):
-        with pytest.raises(resonator.SupportTooLarge):
-            resonator.enumerate_support(desk_table, cap=10)
+    def test_cap_enforced(self, desk_signs):
+        # the desk bands under Z = 10^13 have 1.67M support entries; the
+        # walk stops once it passes MAX_SUPPORT
+        deep = resonator.build_params(10**6, mode="explicit", L=2.0, x=200.0,
+                                      B=200.0, Z=1e13)
+        table = resonator.build_table(deep).with_signs(desk_signs)
+        with pytest.raises(resonator.WorkEstimateError, match="support exceeds"):
+            resonator.enumerate_support(table)
 
     def test_signs_required(self, desk_params):
         bare = resonator.build_table(desk_params)

@@ -110,13 +110,13 @@ class TestPsi:
             smoothing.psi_sigma(0.0, 0.25)
 
 
-def inverse_mellin_phi(x: float, sigma: float = 0.25, tmax: float = 300.0,
-                       accuracy: float = 1e-10) -> float:
+def inverse_mellin_phi(x: float, sigma: float = 0.25,
+                       tmax: float = 300.0) -> float:
     """Mellin inversion (1/2 pi i) int_(sigma) x^{-s} phi~(s) ds, truncated at
     |Im s| = tmax.  Spectral check of the transform; returns a real value."""
     t, w = smoothing.gauss_panels(0.0, tmax, math.ceil(2 * tmax), 16)
     s = sigma + 1j * t
-    vals = smoothing.mellin_phi(s, accuracy=accuracy)
+    vals = smoothing.mellin_phi(s)
     integrand = (x ** (-s) * vals).real  # even in t after taking real part
     return (2.0 / (2 * math.pi)) * float(np.dot(w, integrand))
 
