@@ -8,16 +8,17 @@ partial outputs.
 Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
 abort.  A failed check is a checks.CheckFailed, raised by an explicit
 test, not an ``assert``, so ``python -O`` keeps it.  Config errors
-include a config file that cannot be read or is not UTF-8, a schedule
-value (D, a, L, x, B, Z or a band edge) that is NaN or infinite, a band
-that admits the prime 2 (pminus_lo <= 2 or B/4 <= 2), a RESLAB_WORKERS
-that is not a positive integer, an ``afe --d`` up to charsums.MAX_D_EXACT
-that is not odd and squarefree, a ``ratio`` whose family holds no
-admissible d (charsums.EmptyFamilyError), a ``scan-s`` whose npoints is
-below 1 or whose y_lo, y_hi are not finite with 0 < y_lo < y_hi, and an
-outdir that is empty or cannot be a directory because a file stands on
-its path; a command that writes checks its outdir before any work, but
-creates it only when it writes.  Work-estimate aborts are one class,
+include a config file that cannot be read or is not UTF-8, a negative
+seed, a schedule value (D, a, L, x, B, Z or a band edge) that is NaN or
+infinite, a band that admits the prime 2 (pminus_lo <= 2 or B/4 <= 2), a
+RESLAB_WORKERS that is not a positive integer, an ``afe --d`` up to
+charsums.MAX_D_EXACT that is not odd and squarefree, a ``ratio`` whose
+family holds no admissible d (charsums.EmptyFamilyError), a ``scan-s``
+whose npoints is below 1 or whose y_lo, y_hi are not finite with
+0 < y_lo < y_hi, and an outdir that is empty or cannot be a directory
+because a file stands on its path; a command that writes checks its
+outdir before any work, but creates it only when it writes.
+Work-estimate aborts are one class,
 resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
 resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
 past the scan's guards on D, support size and x, a schedule whose support
@@ -109,6 +110,8 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
         if cfg.mode not in ("asymptotic", "explicit"):
             raise ConfigError(f"mode must be asymptotic or explicit, got {cfg.mode!r}")
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         return cfg
 
     @classmethod
@@ -170,11 +173,11 @@ def cmd_params(cfg: RunConfig) -> int:
     except resonator.ParamsError as e:
         print(f"INFEASIBLE: {e}")
         return EXIT_CONFIG
+    table = resonator.build_table(params)
     print("verdict: FEASIBLE")
     for key in ("mode", "D", "a", "delta", "x", "Z", "Y", "L", "B",
                 "pminus_lo", "pminus_hi"):
         print(f"  {key} = {getattr(params, key)}")
-    table = resonator.build_table(params)
     print(f"  low band: {len(table.pminus)} primes "
           f"[{params.pminus_lo:.4f}, {params.pminus_hi:.4f})")
     print(f"  high band: {len(table.pplus)} primes")

@@ -118,8 +118,9 @@ def lhs_integral(P: DirichletPolynomial, alpha: float) -> float:
 def rhs_integral(P: DirichletPolynomial, sigma: float) -> float:
     """int over the full integrand support of |sum a_n psi_sigma(n/y)|^2 dy/y.
 
-    psi_sigma(n/y) lives on y in [n/4, n], so the support is
-    [n_min/4, n_max]; integration in v = log y with composite Gauss panels.
+    psi_sigma(n/y) lives on y in [n/4, n], and term n is evaluated only at
+    those nodes, where 1 <= n/y <= 4 after rounding too.  Integration runs
+    in v = log y over [n_min/4, n_max] with composite Gauss panels.
     """
     if not (abs(sigma) < 0.5):
         raise ValueError("need |sigma| < 1/2")
@@ -132,18 +133,19 @@ def rhs_integral(P: DirichletPolynomial, sigma: float) -> float:
     npan = max(4, int(math.ceil((hi - lo) * 24)))
     v, w = smoothing.gauss_panels(lo, hi, npan, 8)
     y = np.exp(v)
-    ratio = ns[:, None] / y[None, :]
-    mask = (ratio >= 1.0) & (ratio <= 4.0)
-    vals = np.where(mask, ratio, 2.0)
-    psis = smoothing.psi_sigma(vals, sigma) * mask
-    inner = a @ psis
-    return float(np.dot(w, np.abs(inner) ** 2))
+    first = np.searchsorted(y, ns / 4.0)
+    count = np.searchsorted(y, ns, side="right") - first
+    term = np.repeat(np.arange(ns.size), count)
+    node = first[term] + np.arange(term.size) - (np.cumsum(count) - count)[term]
+    psis = smoothing.psi_sigma(ns[term] / y[node], sigma)
+    re = np.bincount(node, a.real[term] * psis, minlength=y.size)
+    im = np.bincount(node, a.imag[term] * psis, minlength=y.size)
+    return float(np.dot(w, np.abs(re + 1j * im) ** 2))
 
 
 def f_sigma(u, sigma: float):
     """f_sigma(u) = psi_sigma(e^{-u}); supported on [-log 4, 0]."""
-    ua = np.asarray(u, dtype=float)
-    return smoothing.psi_sigma(np.exp(-ua), sigma)
+    return smoothing.psi_sigma(np.exp(-np.asarray(u, dtype=float)), sigma)
 
 
 @lru_cache(maxsize=16)
@@ -173,8 +175,7 @@ def fhat_sigma(xi, sigma: float):
     """Fourier transform int f_sigma(u) e^{-2 pi i xi u} du over [-C, 0];
     accepts a scalar or an array of frequencies."""
     u, wt, fv = _f_nodes(float(sigma))
-    xia = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = _fourier_sum(xia, u, wt * fv)
+    out = _fourier_sum(np.atleast_1d(np.asarray(xi, dtype=float)), u, wt * fv)
     return complex(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 
@@ -194,9 +195,8 @@ def admissible_alpha() -> AlphaReport:
     |xi| <= 2 pi alpha and sigma on the sampling grid."""
     alpha = 1.0 / (10.0 * math.pi * SUPPORT_C)
     xis = np.linspace(-2.0 * math.pi * alpha, 2.0 * math.pi * alpha, 33)
-    inf_sq = math.inf
-    for sigma in SIGMA_GRID:
-        inf_sq = min(inf_sq, float(np.min(np.abs(fhat_sigma(xis, sigma)) ** 2)))
+    inf_sq = min(float(np.min(np.abs(fhat_sigma(xis, sigma)) ** 2))
+                 for sigma in SIGMA_GRID)
     if inf_sq < 1e-12:
         raise AccuracyError("inf |f_hat|^2 is numerically zero")
     return AlphaReport(alpha, 2.0 * math.pi / inf_sq, SUPPORT_C, inf_sq,

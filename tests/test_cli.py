@@ -185,7 +185,7 @@ class TestErrorPaths:
                                       "x_nan", "B_nan", "Z_nan", "Z_inf",
                                       "Z_neg", "Z_zero", "L_neg", "B_8",
                                       "outdir_not_dir", "outdir_empty",
-                                      "not_utf8"])
+                                      "not_utf8", "seed_negative"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         cfg = small_cfg_path
         workers = "1"
@@ -199,11 +199,14 @@ class TestErrorPaths:
             cfg = str(empty)
         elif case == "outdir_not_dir":
             cfg = _outdir_through_file(tmp_path)
-        elif case in ("outdir_empty", "not_utf8"):
+        elif case in ("outdir_empty", "not_utf8", "seed_negative"):
             bad = tmp_path / "bad.cfg"
             if case == "outdir_empty":
                 # abspath("") is the cwd, but os.makedirs("") fails
                 bad.write_text(SMALL_CFG + "outdir =\n")
+            elif case == "seed_negative":
+                # numpy's SeedSequence refuses a negative seed
+                bad.write_text(SMALL_CFG + "seed = -1\n")
             else:
                 bad.write_bytes(SMALL_CFG.encode() + b"# \xff\n")
             cfg = str(bad)
@@ -282,7 +285,7 @@ class TestErrorPaths:
             f"mode = asymptotic\na = 0.2\nD = {10**150}\n")
         proc = _run_cli(["--config", "huge.cfg", "params"], tmp_path)
         assert proc.returncode == cli.EXIT_WORK
-        assert "verdict: FEASIBLE" in proc.stdout
+        assert "verdict: FEASIBLE" not in proc.stdout
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "sieve guard" in proc.stderr
