@@ -10,8 +10,7 @@ logarithm stays bounded to the right of Re(s) = -1/4.  This module carries
 both routes to F — the truncated double sum F_direct and the factored
 product F_factored_bounded — plus the inverse-Mellin contour evaluation of
 S(y) on the right line and on the line shifted past the pole, the
-Rankin-style truncation checks, and the resonance-gain / sigma_2-bound
-diagnostic reports.
+Rankin-style truncation checks, and the resonance-gain report.
 
 F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
 scalar or an array of s, builds zeta as hurwitz_em(2s+1, 1) and H from
@@ -239,15 +238,19 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
             np.array(pair_g), big)
 
 
-def F_direct(s: complex, table: CoefficientTable,
-             ell_max: float = 1e6, m_max: int = 20_000):
+# F_direct's cutoffs: band products l <= _ELL_MAX, inner m <= _M_MAX
+_ELL_MAX = 1e6
+_M_MAX = 20_000
+
+
+def F_direct(s: complex, table: CoefficientTable):
     """(value, tail) of the double sum
 
         F(s) = sum_l c_l l^{-s} sum_{m <= m_max} b(m, l) m^{-1-2s},
         c_l = r~(l) d(l) / sqrt(l),
 
-    over squarefree band products l <= ell_max, with an honest tail
-    certificate:
+    over squarefree band products l <= ell_max, with ell_max = _ELL_MAX
+    and m_max = _M_MAX, and with an honest tail certificate:
 
         tail <= (sum_l kept |c_l| l^{-sigma}) * m_max^{-2 sigma} / (2 sigma)
               + ell_max^{-sigma} * prod(1 + 2 |r~(p)| / sqrt(p)).
@@ -276,7 +279,7 @@ def F_direct(s: complex, table: CoefficientTable,
         raise AccuracyError(f"direct sum needs Re(s) >= 0.05, got {sigma}")
     band = tuple((p, resonator.r_tilde(p, table)) for p in sorted(table.pminus))
     (log_ell, weight, bfull, divisors, pair_ell, pair_e, pair_g,
-     big) = _divisor_lattice(table.params, band, float(ell_max), int(m_max))
+     big) = _divisor_lattice(table.params, band, _ELL_MAX, _M_MAX)
     mpow = np.zeros(bfull.size, dtype=complex)
     mpow[1:] = np.arange(1, bfull.size, dtype=float) ** (-(1.0 + 2.0 * s))
     bm = bfull * mpow
@@ -285,8 +288,8 @@ def F_direct(s: complex, table: CoefficientTable,
     total = complex(np.dot(c[pair_ell] * pair_g, A[pair_e]))
 
     abs_c = np.abs(weight) * np.exp(-sigma * log_ell)
-    m_tail = math.fsum(abs_c.tolist()) * m_max ** (-2 * sigma) / (2 * sigma)
-    ell_tail = ell_max ** (-sigma) * big
+    m_tail = math.fsum(abs_c.tolist()) * _M_MAX ** (-2 * sigma) / (2 * sigma)
+    ell_tail = _ELL_MAX ** (-sigma) * big
     return total, m_tail + ell_tail
 
 
@@ -445,7 +448,7 @@ def verify_rankin_truncations(table: CoefficientTable,
 
 
 # --------------------------------------------------------------------------
-# resonance gain and the sigma_2 bound shape
+# resonance gain
 # --------------------------------------------------------------------------
 
 def trig_product(theta):
@@ -495,40 +498,3 @@ def resonance_bound(table: CoefficientTable,
     tmin = min(trig_product(theta[p]) for p in table.pminus)
     return ResonanceReport(t0, float(ts[i]), float(ratios[i]),
                            math.log(float(ratios[i])), band_sum, tmin)
-
-
-@dataclass(frozen=True)
-class Sigma2BoundReport:
-    circle_sup_H: float
-    circle_sup_relog_H: float
-    line_sup_H: float
-    C: float
-
-
-def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
-                       y_grid, kernel_S) -> Sigma2BoundReport:
-    """Both terms of the contour-shift bound for S(y):
-
-        |S(y)| <= C * log(max(x, y)) * sup_{|s| = 1/log max(x,y)} |H|
-                + C * (llD)^2 exp(-log y / (llD)^2) * sup_line |H|,
-
-    llD = log log D.  Fits the smallest C making the bound hold on the
-    grid and reports it with the sups.
-    """
-    lld2 = math.log(math.log(params.D)) ** 2
-    sigma_left = -1.0 / lld2
-    th = np.linspace(0, 2 * math.pi, 257)
-    rho = np.array([1.0 / math.log(max(params.x, y, 3.0)) for y in y_grid])
-    circle = np.abs(H_of_s(rho[:, None] * np.exp(1j * th), table))
-    sup_c = float(np.max(circle))
-    relog = float(np.max(np.log(circle)))
-    ts = np.linspace(-50, 50, 501)
-    sup_l = float(np.max(np.abs(H_of_s(sigma_left + 1j * ts, table))))
-
-    def bound(y):
-        t1 = math.log(max(params.x, y)) * sup_c
-        t2 = lld2 * math.exp(-math.log(y) / lld2) * sup_l
-        return t1 + t2
-
-    c = max(abs(kernel_S(y)) / bound(y) for y in y_grid)
-    return Sigma2BoundReport(sup_c, relog, sup_l, c)

@@ -23,21 +23,20 @@ results are bit-identical for any worker count and any chunk size.  An
 optional sink receives every chunk's rows (d, T(d), R(d)^2) as CSV line
 bytes, formatted in the process that computed the chunk and handed over in
 chunk order, which is how the CLI writes the family CSV from the same
-pass.  The default chunk of 2^15 d bounds the scan's working set: a chunk's
-arrays, not the family's size, set its memory.
+pass.  A chunk of 2^15 d bounds the scan's working set: a chunk's arrays,
+not the family's size, set its memory.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, arith, resonator, smoothing
+from . import arith, resonator, smoothing
 from .analytic import hurwitz_em
 from .resonator import (CoefficientTable, ResonatorParams, SignState,
                         WorkEstimateError)
@@ -135,13 +134,6 @@ class PartialSumKernel:
             return 0.0
         base, u = self._window(y, 2.0 * y)
         return math.fsum((-base * u * smoothing.phi_prime(u)).tolist())
-
-
-def derivative_bound_check(y: float, kernel: PartialSumKernel) -> tuple[float, float]:
-    """(lhs, rhs) with lhs = |y dS/dy| and rhs = C_phi * S*(y)."""
-    lhs = abs(kernel.y_dS(y))
-    rhs = smoothing.c_phi() * kernel.S_star(y)
-    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -382,19 +374,6 @@ def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
     return [denom, numer, mval, md, int(d.size)], lines
 
 
-_WORKER_STATE = None
-
-
-def _init_worker(state):
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _worker_chunk(args):
-    bounds, keep_rows = args
-    return _scan_chunk(bounds, _WORKER_STATE, keep_rows)
-
-
 def default_workers() -> int:
     env = os.environ.get("RESLAB_WORKERS")
     if not env:
@@ -408,40 +387,21 @@ def default_workers() -> int:
     return w
 
 
-def _scan_digest(params: ResonatorParams, table: CoefficientTable,
-                 state: dict, chunk_size: int) -> str:
-    """Identity of a scan: everything that determines a chunk's summary.
-
-    The cutoff enters the chunks only through the truncation weights
-    phi(n/x)/sqrt(n), so those weights stand for it: a change to phi's code
-    changes the digest.  The scan does not call it; it is kept to name the
-    run in a report's provenance.
-    """
-    payload = {
-        "version": __version__,
-        "D": params.D, "x": params.x, "Z": params.Z, "L": params.L, "B": params.B,
-        "pminus": [params.pminus_lo, params.pminus_hi],
-        "chunk_size": chunk_size,
-        "support": state["support"],
-        "truncation": state["truncation"],
-    }
-    import hashlib  # here, not at the top: it loads OpenSSL (3.6 MB)
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+# d per chunk: a chunk traces 3.3 MiB (12.9 at 2^17) and costs ~1.3 ms fixed
+_CHUNK = 1 << 15
 
 
 def scan_family(params: ResonatorParams, table: CoefficientTable,
-                workers: int | None = None,
-                # a chunk traces 3.3 MiB (12.9 at 2^17) and costs ~1.3 ms fixed
-                chunk_size: int = 1 << 15, sink=None) -> FamilyScan:
+                workers: int, sink=None) -> FamilyScan:
     """Denominator, numerator, and weighted minimum over the whole family.
 
-    The family is cut into chunks of chunk_size consecutive d, so memory is
+    The family is cut into chunks of _CHUNK consecutive d, so memory is
     bounded by one chunk's arrays (and, with a pool, one per worker).  Each
     chunk reduces to the exact parts of its sums, and one fsum over all
     parts gives the correctly rounded totals, so the result does not
-    depend on the worker count or the chunk size.
+    depend on the worker count or the chunk size.  With more than one
+    worker and more than one chunk, the chunks run in a process pool of
+    that many workers; otherwise in this process.
 
     An optional ``sink(lines)`` receives every chunk's rows as one bytes
     object of CSV lines ``d,repr(T(d)),repr(R(d)^2)\r\n``, one line per
@@ -463,7 +423,7 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     hi = int(D)
     if lo > hi:
         raise EmptyFamilyError(f"empty range ({D/2}, {D}]")
-    bounds = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
+    bounds = [(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK)]
 
     state = _scan_state(params, table)
     keep_rows = sink is not None
@@ -473,16 +433,14 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
             sink(lines)
         return summary
 
-    workers = workers if workers is not None else default_workers()
+    jobs = (bounds, itertools.repeat(state), itertools.repeat(keep_rows))
     if workers > 1 and len(bounds) > 1:
         # here, not at the top: the pool brings multiprocessing (2 MB)
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(state,)) as ex:
-            jobs = [(b, keep_rows) for b in bounds]
-            done = [record(*res) for res in ex.map(_worker_chunk, jobs)]
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            done = [record(*res) for res in ex.map(_scan_chunk, *jobs)]
     else:
-        done = [record(*_scan_chunk(b, state, keep_rows)) for b in bounds]
+        done = [record(*res) for res in map(_scan_chunk, *jobs)]
 
     denom = math.fsum(p for chunk in done for p in chunk[0])
     numer = math.fsum(p for chunk in done for p in chunk[1])
@@ -497,35 +455,6 @@ def denominator_asymptotic(params: ResonatorParams, table: CoefficientTable) -> 
     for p in table.pminus:
         prod *= 1.0 + resonator.r_prime(p, table) ** 2
     return 2.0 / math.pi**2 * params.D * prod
-
-
-def numerator_exact_triple(params: ResonatorParams,
-                           table: CoefficientTable) -> float:
-    """Tiny-instance oracle: the numerator as the support-outer triple sum
-
-        sum_{l1, l2} r(l1) r(l2) sum_n phi(n/x)/sqrt(n)
-            sum_d mu^2(2d) chi_{8d}(l1 l2 n).
-
-    Exponentially slower than the d-outer loop; guarded accordingly.
-    """
-    if table.support is None:
-        raise ValueError("support not enumerated")
-    D, x = params.D, params.x
-    if D > 500 or len(table.support) > 16 or x > 50:
-        raise WorkEstimateError("triple-sum oracle is for tiny instances only")
-    lo, hi = int(D // 2) + 1, int(D)
-    ds = [d for d in range(lo | 1, hi + 1, 2) if arith.is_squarefree(d)]
-    total = []
-    for l1, r1 in table.support:
-        for l2, r2 in table.support:
-            for n in range(1, int(2 * x) + 1):
-                w = smoothing.phi(n / x)
-                if w == 0.0:
-                    continue
-                csum = sum(arith.kronecker(8 * d, l1 * l2 * n) for d in ds)
-                if csum:
-                    total.append(r1 * r2 * w / math.sqrt(n) * csum)
-    return math.fsum(total)
 
 
 @dataclass(frozen=True)
@@ -544,7 +473,7 @@ class RatioReport:
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState, kernel: PartialSumKernel,
-                       workers: int | None = None, sink=None) -> RatioReport:
+                       workers: int, sink=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
     exact weighted-average pigeonhole  min <= Num/Den.  ``kernel`` is the

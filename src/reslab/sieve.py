@@ -109,7 +109,7 @@ def lhs_integral(P: DirichletPolynomial, alpha: float) -> float:
     z, w = smoothing.gauss_panels(-1.0, 1.0, 1, k)
     pt = np.exp(-1j * alpha * z[:, None] * np.log(ns)[None, :]) @ a
     gauss = alpha * float(np.dot(w, np.abs(pt) ** 2))
-    if abs(closed - gauss) > allowed:
+    if not abs(closed - gauss) <= allowed:
         raise AccuracyError(
             f"lhs routes disagree: closed {closed} vs Gauss rule {gauss}")
     return closed
@@ -197,8 +197,8 @@ def admissible_alpha() -> AlphaReport:
     xis = np.linspace(-2.0 * math.pi * alpha, 2.0 * math.pi * alpha, 33)
     inf_sq = min(float(np.min(np.abs(fhat_sigma(xis, sigma)) ** 2))
                  for sigma in SIGMA_GRID)
-    if inf_sq < 1e-12:
-        raise AccuracyError("inf |f_hat|^2 is numerically zero")
+    if not 1e-12 <= inf_sq:
+        raise AccuracyError(f"inf |f_hat|^2 = {inf_sq} is numerically zero")
     return AlphaReport(alpha, 2.0 * math.pi / inf_sq, SUPPORT_C, inf_sq,
                        SIGMA_GRID)
 
@@ -235,7 +235,7 @@ def _h_nodes(sigma: float):
     return x, wt, autocorrelation_sigma(x, sigma)
 
 
-def autocorrelation_identity_check(sigma: float = 0.0) -> AutocorrReport:
+def autocorrelation_identity_check(sigma: float) -> AutocorrReport:
     """Numerical check of H_hat = |f_hat|^2 plus Parseval at x = 0.
 
     H is built by direct quadrature of each lag integral; its transform and
@@ -262,12 +262,14 @@ class SieveReport:
     seed: int
 
 
-def random_polynomial(rng: np.random.Generator,
-                      max_len: int = 50) -> DirichletPolynomial:
-    """Coefficients uniform on the unit disk; 2 <= n <= 10^4 without
-    replacement (n = 1 sits below the y-integral's support at dyadic scale,
-    so trials stay inside the lemma's regime)."""
-    length = int(rng.integers(1, max_len + 1))
+_MAX_LEN = 50  # terms of a random trial polynomial, at most
+
+
+def random_polynomial(rng: np.random.Generator) -> DirichletPolynomial:
+    """1 to _MAX_LEN terms; coefficients uniform on the unit disk;
+    2 <= n <= 10^4 without replacement (n = 1 sits below the y-integral's
+    support at dyadic scale, so trials stay inside the lemma's regime)."""
+    length = int(rng.integers(1, _MAX_LEN + 1))
     ns = rng.choice(np.arange(2, 10_001), size=length, replace=False)
     r = np.sqrt(rng.uniform(0.0, 1.0, size=length))
     th = rng.uniform(0.0, 2.0 * math.pi, size=length)
@@ -276,7 +278,7 @@ def random_polynomial(rng: np.random.Generator,
 
 
 def sieve_inequality_check(trials: int, seed: int,
-                           sigma: float = 0.0) -> SieveReport:
+                           sigma: float) -> SieveReport:
     """Seeded random trials of lhs <= (2 pi / inf |f_hat|^2) * rhs.
 
     This is a theorem once alpha is admissible; any failure means a bug.
@@ -291,7 +293,7 @@ def sieve_inequality_check(trials: int, seed: int,
         lhs = lhs_integral(P, report.alpha)
         rhs = rhs_integral(P, sigma)
         bound = report.constant * rhs
-        if lhs > bound * (1.0 + 1e-9):
+        if not lhs <= bound * (1.0 + 1e-9):
             raise AssertionError(
                 f"sieve inequality violated: lhs {lhs} > bound {bound}")
         if bound > 0:

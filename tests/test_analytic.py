@@ -3,12 +3,15 @@ contour evaluation, truncation checks, and the resonance lower bound."""
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reslab import analytic, arith, checks, resonator, smoothing
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +277,9 @@ class TestFactorization:
         table = {"small": small_table, "three": three_prime_table,
                  "three_l3": three_prime_l3_table}[which]
         s = complex(sigma, t)
-        fd, fd_tail = analytic.F_direct(s, table, ell_max=ell_max, m_max=m_max)
+        with mock.patch.object(analytic, "_ELL_MAX", ell_max), \
+                mock.patch.object(analytic, "_M_MAX", m_max):
+            fd, fd_tail = analytic.F_direct(s, table)
         value, tail = _literal_F(s, table, ell_max, m_max)
         assert abs(fd - value) <= 1e-12 * abs(value)
         assert fd_tail == pytest.approx(tail, rel=1e-12)
@@ -446,7 +451,7 @@ class TestSigma2Bound:
     Y_GRID = (2.0, 5.0, 20.0, 50.0, 120.0, 200.0, 400.0)
 
     def test_fit_then_freeze(self, desk_table, desk_params, desk_kernel):
-        fit = analytic.sigma2_bound_check(desk_table, desk_params,
-                                          self.Y_GRID, desk_kernel.S)
+        fit = oracles.sigma2_bound_check(desk_table, desk_params,
+                                         self.Y_GRID, desk_kernel.S)
         assert fit.C == pytest.approx(0.3041928708911808, rel=1e-10)
         assert fit.C <= 0.305

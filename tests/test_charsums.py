@@ -2,9 +2,9 @@
 orthogonality, and the smoothed central-value formula."""
 
 import dataclasses
-import inspect
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
 from reslab import arith, charsums, checks, resonator, smoothing
+
+import oracles
 
 
 def _parse_csv_lines(chunks):
@@ -127,7 +129,7 @@ class TestKernel:
 
     def test_derivative_bound(self, small_kernel):
         for y in (2.0, 5.0, 11.0, 29.0, 55.0):
-            lhs, rhs = charsums.derivative_bound_check(y, small_kernel)
+            lhs, rhs = oracles.derivative_bound_check(y, small_kernel)
             assert lhs <= rhs + 1e-12
 
 
@@ -213,25 +215,24 @@ class TestFamilyScan:
     def test_triple_sum_oracle(self, small_params, small_table):
         numer = charsums.scan_family(small_params, small_table,
                                      workers=1).numer
-        triple = charsums.numerator_exact_triple(small_params, small_table)
+        triple = oracles.numerator_exact_triple(small_params, small_table)
         assert numer == pytest.approx(triple, abs=1e-9)
         assert triple == pytest.approx(65.88514883761619, rel=1e-13)
 
     def test_triple_sum_guarded(self, desk_params, desk_table):
         with pytest.raises(charsums.WorkEstimateError):
-            charsums.numerator_exact_triple(desk_params, desk_table)
+            oracles.numerator_exact_triple(desk_params, desk_table)
 
     def test_chunking_invariant(self, small_params, small_table):
         one = charsums.scan_family(small_params, small_table, workers=1)
-        many = charsums.scan_family(small_params, small_table, workers=1,
-                                    chunk_size=16)
+        with mock.patch.object(charsums, "_CHUNK", 16):
+            many = charsums.scan_family(small_params, small_table, workers=1)
         assert one == dataclasses.replace(many, chunk_count=one.chunk_count)
 
     def test_worker_count_invariant(self, small_params, small_table):
-        one = charsums.scan_family(small_params, small_table, workers=1,
-                                   chunk_size=16)
-        two = charsums.scan_family(small_params, small_table, workers=2,
-                                   chunk_size=16)
+        with mock.patch.object(charsums, "_CHUNK", 16):
+            one = charsums.scan_family(small_params, small_table, workers=1)
+            two = charsums.scan_family(small_params, small_table, workers=2)
         assert one == two
 
     @settings(max_examples=30, deadline=None)
@@ -240,9 +241,9 @@ class TestFamilyScan:
                                           D, chunk_size):
         params = dataclasses.replace(small_params, D=D)
         lines = []
-        scan = charsums.scan_family(
-            params, small_table, workers=1, chunk_size=chunk_size,
-            sink=lines.append)
+        with mock.patch.object(charsums, "_CHUNK", chunk_size):
+            scan = charsums.scan_family(params, small_table, workers=1,
+                                        sink=lines.append)
         rows = _parse_csv_lines(lines)
         admissible = [d for d in range(D // 2 + 1, D + 1)
                       if d % 2 == 1 and arith.is_squarefree(d)]
@@ -260,8 +261,8 @@ class TestFamilyScan:
         for col, arr in ((1, t), (2, w)):
             parsed = np.array([r[col] for r in rows], dtype=float)
             assert np.array_equal(parsed.view(np.uint64), arr.view(np.uint64))
-        whole = charsums.scan_family(params, small_table, workers=1,
-                                     chunk_size=D)
+        with mock.patch.object(charsums, "_CHUNK", D):
+            whole = charsums.scan_family(params, small_table, workers=1)
         assert whole.chunk_count == 1
         assert scan == dataclasses.replace(whole,
                                            chunk_count=scan.chunk_count)
@@ -272,24 +273,24 @@ class TestFamilyScan:
             self, small_params, small_table, workers, chunk_size):
         # any chunk size at either worker count gives the bytes and the
         # summary of one chunk scanned at one worker
-        def scan(**kw):
+        def scan(workers, chunk):
             lines = []
-            out = charsums.scan_family(small_params, small_table,
-                                       sink=lines.append, **kw)
+            with mock.patch.object(charsums, "_CHUNK", chunk):
+                out = charsums.scan_family(small_params, small_table,
+                                           workers, sink=lines.append)
             assert all(isinstance(b, bytes) for b in lines)
             return out, b"".join(lines)
 
-        one, one_bytes = scan(workers=1, chunk_size=int(small_params.D))
+        one, one_bytes = scan(1, int(small_params.D))
         assert one.chunk_count == 1
-        got, got_bytes = scan(workers=workers, chunk_size=chunk_size)
+        got, got_bytes = scan(workers, chunk_size)
         assert got_bytes == one_bytes
         assert got == dataclasses.replace(one, chunk_count=got.chunk_count)
 
     def test_default_chunk_memory(self, desk_params, desk_table):
-        # the default width bounds one chunk's working set; 2^17 traced
+        # the chunk width bounds one chunk's working set; 2^17 traced
         # 12.9 MiB
-        width = inspect.signature(
-            charsums.scan_family).parameters["chunk_size"].default
+        width = charsums._CHUNK
         state = charsums._scan_state(desk_params, desk_table)
         lo = int(desk_params.D // 2) + 1
         bounds = (lo, lo + width - 1)
@@ -305,14 +306,15 @@ class TestFamilyScan:
     def test_default_chunk_matches_wide_chunk(self, desk_params, desk_table):
         params = dataclasses.replace(desk_params, D=300000)
 
-        def scan(**kw):
+        def scan(chunk):
             lines = []
-            out = charsums.scan_family(params, desk_table, workers=1,
-                                       sink=lines.append, **kw)
+            with mock.patch.object(charsums, "_CHUNK", chunk):
+                out = charsums.scan_family(params, desk_table, workers=1,
+                                           sink=lines.append)
             return out, b"".join(lines)
 
-        narrow, narrow_bytes = scan()
-        wide, wide_bytes = scan(chunk_size=1 << 17)
+        narrow, narrow_bytes = scan(charsums._CHUNK)
+        wide, wide_bytes = scan(1 << 17)
         assert narrow.chunk_count > wide.chunk_count
         assert narrow_bytes == wide_bytes
         assert narrow == dataclasses.replace(wide,

@@ -13,6 +13,8 @@ import pytest
 import reslab
 from reslab import charsums, cli
 
+import golden
+
 SRC = os.path.dirname(os.path.dirname(reslab.__file__))
 
 
@@ -78,9 +80,8 @@ class TestRunConfig:
 
 
 class TestReports:
-    def test_canonical_json_drops_timing(self):
-        s = cli.canonical_json({"b": 1, "a": 2, "timing": {"wall": 3.2}})
-        assert "timing" not in s
+    def test_canonical_json_sorts_keys(self):
+        s = cli.canonical_json({"b": 1, "a": 2})
         assert s.index('"a"') < s.index('"b"')
 
     def test_atomic_write(self, tmp_path):
@@ -320,16 +321,8 @@ class TestErrorPaths:
         assert not os.path.exists(tmp_path / "out")
 
 
-DESK_CFG = f"""\
-# the D = 10^6 exhibit schedule
-mode = explicit
-D = 1000000
-L = 2
-x = 200
-B = 200
-Z = {200.0 ** 1.5!r}
-outdir = out
-"""
+# the D = 10^6 exhibit schedule, outdir "out"
+DESK_CFG = golden.DESK_CFG
 
 
 # hashlib loads OpenSSL, and no command hashes anything; only a scan with
@@ -426,10 +419,7 @@ class TestVerifySuites:
     def test_contour_suite(self, tmp_path, capsys, three_prime_contour):
         # the three-prime schedule of the contour tests, through the CLI
         cfgp = tmp_path / "run.cfg"
-        cfgp.write_text(
-            "mode = explicit\nD = 1000000\nL = 2.718281828459045\nx = 30\n"
-            "B = 30\nZ = 150\npminus_lo = 10\npminus_hi = 18\n"
-            f"outdir = {tmp_path}\n")
+        cfgp.write_text(golden.THREE_PRIME_CFG + f"outdir = {tmp_path}\n")
         assert cli.main(["--config", str(cfgp), "verify",
                          "contour"]) == cli.EXIT_PASS
         assert "PASS [contour]" in capsys.readouterr().out
@@ -439,6 +429,8 @@ class TestVerifySuites:
         assert sorted(res) == ["10.0", "2.0", "5.0"]
         assert [res[y]["contour"] for y in ("2.0", "5.0", "10.0")] == \
             three_prime_contour.value.tolist()
+        data = (tmp_path / "verify_contour.json").read_bytes()
+        assert golden.mismatch("verify_contour.json", data, golden.load()) is None
 
     def test_factorization_margin(self, tmp_path, capsys):
         (tmp_path / "run.cfg").write_text(

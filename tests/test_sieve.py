@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from reslab import sieve, smoothing
+from reslab import cli, sieve, smoothing
 
 
 class TestDirichletPolynomial:
@@ -40,10 +40,11 @@ class TestLhsIntegral:
         assert sieve.lhs_integral(P, 0.02) == pytest.approx(
             2 * 0.02 * 25.0, rel=1e-12)
 
-    def test_closed_form_vs_quadrature(self):
+    def test_closed_form_vs_quadrature(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_MAX_LEN", 12)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            P = sieve.random_polynomial(rng, max_len=12)
+            P = sieve.random_polynomial(rng)
             closed = sieve.lhs_integral(P, 0.02296120471316426)
             direct, _ = quad(lambda t: abs(P(t)) ** 2,
                              -0.02296120471316426, 0.02296120471316426,
@@ -67,6 +68,20 @@ class TestLhsIntegral:
         P = sieve.DirichletPolynomial.from_pairs([(2, 1.0)])
         with pytest.raises(ValueError):
             sieve.lhs_integral(P, 0.0)
+
+    def test_refuses_nan_gauss_route(self, monkeypatch):
+        # NaN compares false both ways, so the guard must not read it as
+        # agreement
+        gauss_panels = smoothing.gauss_panels
+
+        def nan_weights(*args):
+            z, w = gauss_panels(*args)
+            return z, w * math.nan
+
+        monkeypatch.setattr(smoothing, "gauss_panels", nan_weights)
+        P = sieve.DirichletPolynomial.from_pairs([(2, 1.0), (3, 0.5j)])
+        with pytest.raises(sieve.AccuracyError, match="lhs routes disagree"):
+            sieve.lhs_integral(P, 0.02)
 
 
 def _dense_rhs(P, sigma):
@@ -208,6 +223,16 @@ class TestAdmissibleAlpha:
             0.2, rel=1e-14)
         assert rep.inf_fhat_sq > 0.0
 
+    def test_refuses_nan_infimum(self, monkeypatch):
+        monkeypatch.setattr(sieve, "fhat_sigma",
+                            lambda xi, sigma: np.full(np.shape(xi), math.nan))
+        sieve.admissible_alpha.cache_clear()
+        try:
+            with pytest.raises(sieve.AccuracyError, match="nan"):
+                sieve.admissible_alpha()
+        finally:
+            sieve.admissible_alpha.cache_clear()
+
 
 class TestAutocorrelation:
     def test_h_is_even(self):
@@ -262,3 +287,13 @@ class TestInequality:
     def test_holds_on_every_sigma(self, sigma):
         rep = sieve.sieve_inequality_check(5, 99, sigma=sigma)
         assert rep.worst_ratio <= 1.0
+
+    @pytest.mark.parametrize("route", ["lhs_integral", "rhs_integral"])
+    def test_nan_side_fails(self, route, monkeypatch, tmp_path, capsys):
+        # a NaN side used to pass every trial and report worst_ratio 0.0
+        monkeypatch.setattr(sieve, route, lambda P, arg: math.nan)
+        with pytest.raises(AssertionError, match="sieve inequality violated"):
+            sieve.sieve_inequality_check(25, seed=0, sigma=0.25)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "gallagher"]) == cli.EXIT_ASSERT
+        assert "FAIL [gallagher]" in capsys.readouterr().out

@@ -5,9 +5,14 @@ the module.  `__init__.py` is exempt: its one import binds the layer modules
 only to load them, in dependency order, with the package, that is before
 the modules `reslab.cli` imports for itself (argparse, json).  In the
 other order `import reslab.cli` peaks about 0.5 MB higher (29.8 against
-29.3 MB, medians of 10 runs on a 2-CPU Linux host, Python 3.11)."""
+29.3 MB, medians of 10 runs on a 2-CPU Linux host, Python 3.11).
+
+The same walk finds dead code: every top-level function, class and
+assignment of a module must be read outside its own definition, somewhere
+in the package, the tests, the demos or the benchmark."""
 
 import ast
+import collections
 import pathlib
 import types
 
@@ -18,6 +23,10 @@ import reslab.cli
 
 PKG = pathlib.Path(reslab.__file__).parent
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+ROOT = PKG.parent.parent
+READERS = sorted(PKG.glob("*.py")) + [
+    p for d in ("tests", "demos", "perfbench")
+    for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def _module_imports(body):
@@ -87,3 +96,68 @@ def test_package_namespace_is_its_modules():
     for name, obj in public.items():
         assert isinstance(obj, types.ModuleType), name
         assert obj.__name__ == f"reslab.{name}"
+
+
+def _reads(tree):
+    """Each name a tree reads: a loaded Name, an Attribute's attribute, and
+    each part of an import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def count_reads(sources) -> collections.Counter:
+    return collections.Counter(
+        name for source in sources for name in _reads(ast.parse(source)))
+
+
+def dead_names(source: str, reads: collections.Counter) -> list[str]:
+    """Each top-level function, class or assignment target of `source` that
+    `reads`, counted over every reader, has only inside its own definition."""
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        own = collections.Counter(_reads(node))
+        dead += [name for name in names if reads[name] <= own[name]]
+    return dead
+
+
+@pytest.fixture(scope="module")
+def reads():
+    return count_reads(p.read_text(encoding="utf-8") for p in READERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_top_level_names(path, reads):
+    assert dead_names(path.read_text(encoding="utf-8"), reads) == []
+
+
+def test_dead_name_detector():
+    module = (
+        "import os\n"
+        "LIMIT = 3\n"
+        "_UNUSED, USED_BY_TEST = 1, 2\n"
+        "def recurse(n):\n"
+        "    return recurse(n - 1) if n else LIMIT\n"
+        "def helper():\n"
+        "    return os.sep\n"
+        "class Kept:\n"
+        "    pass\n"
+        "class Gone:\n"
+        "    def copy(self):\n"
+        "        return Gone()\n")
+    reads = count_reads(
+        [module, "from pkg.mod import helper\nx.Kept\nUSED_BY_TEST\n"])
+    assert dead_names(module, reads) == ["_UNUSED", "recurse", "Gone"]
