@@ -268,7 +268,8 @@ def F_direct(s: complex, table: CoefficientTable):
     expansion adds positive multiples of the A(e), with no cancellation.
     Only e <= m_max contribute.  The l list, the (l, e) pairs, g and
     b(m, 1) do not depend on s and are built once per table and cutoffs;
-    each s then costs one strided sum per distinct e and one dot product.
+    each s then costs one strided sum per distinct e and one sum over the
+    (l, e) pairs.
 
     Usable only to the right of Re(s) = 0.05; the m-tail decays like
     m_max^{-2 sigma}, so do not expect miracles near the boundary.
@@ -285,7 +286,9 @@ def F_direct(s: complex, table: CoefficientTable):
     bm = bfull * mpow
     A = np.array([np.sum(bm[e::e]) for e in divisors])
     c = weight * np.exp(-s * log_ell)
-    total = complex(np.dot(c[pair_ell] * pair_g, A[pair_e]))
+    # np.sum, not np.dot: BLAS reduces a dot in an order that depends on
+    # its thread count, and the value must not
+    total = complex(np.sum(c[pair_ell] * pair_g * A[pair_e]))
 
     abs_c = np.abs(weight) * np.exp(-sigma * log_ell)
     m_tail = math.fsum(abs_c.tolist()) * _M_MAX ** (-2 * sigma) / (2 * sigma)

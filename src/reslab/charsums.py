@@ -19,19 +19,24 @@ for composite n from int8 products chi(p) chi(n/p), since the character
 is completely multiplicative.  Each chunk reduces its weights to floats
 whose exact sum is the chunk's exact sum (repeated math.fsum); one fsum
 over every chunk's parts then gives the correctly rounded Den and Num, so
-results are bit-identical for any worker count and any chunk size.  An
-optional sink receives every chunk's rows (d, T(d), R(d)^2) as CSV line
-bytes, formatted in the process that computed the chunk and handed over in
-chunk order, which is how the CLI writes the family CSV from the same
-pass.  A chunk of 2^15 d bounds the scan's working set: a chunk's arrays,
-not the family's size, set its memory.
+results are bit-identical for any worker count and any chunk size.  When
+asked for the rows (d, T(d), R(d)^2), the process that scans a chunk also
+formats and writes them, as CSV lines, to the chunk's own part file; only
+the chunk's small summary goes back to the caller, which appends the
+parts to its row file in chunk order.  That is how the CLI writes the
+family CSV from the same pass.  A chunk of 2^15 d bounds the scan's
+working set, in the caller as in each worker: a chunk's arrays, not the
+family's size, set its memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,14 +359,17 @@ def _csv_lines(d, t, w) -> bytes:
                     in zip(d.tolist(), t.tolist(), w.tolist())]).encode()
 
 
-def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
+def _scan_chunk(bounds: tuple[int, int], state: dict, part: str | None):
     """Summary [Den parts, Num parts, min T over positive weight, its d,
-    admissible count] of the chunk [lo, hi], and its rows as CSV line bytes
-    when keep_rows; deterministic for fixed bounds."""
+    admissible count] of the chunk [lo, hi]; when part is a path, the
+    chunk's rows also go to that file as CSV lines.  Deterministic for
+    fixed bounds."""
     d, w, t = _chunk_arrays(*bounds, state)
-    lines = _csv_lines(d, t, w) if keep_rows else None
+    if part is not None:
+        with open(part, "wb") as fh:
+            fh.write(_csv_lines(d, t, w))
     if d.size == 0:
-        return [[], [], math.inf, -1, 0], lines
+        return [[], [], math.inf, -1, 0]
     denom = _exact_parts(w.tolist())
     numer = _exact_parts((w * t).tolist())
     pos = w > 0
@@ -371,7 +379,7 @@ def _scan_chunk(bounds: tuple[int, int], state: dict, keep_rows: bool):
         mval, md = float(t[i]), int(d[i])
     else:
         mval, md = math.inf, -1
-    return [denom, numer, mval, md, int(d.size)], lines
+    return [denom, numer, mval, md, int(d.size)]
 
 
 def default_workers() -> int:
@@ -392,7 +400,7 @@ _CHUNK = 1 << 15
 
 
 def scan_family(params: ResonatorParams, table: CoefficientTable,
-                workers: int, sink=None) -> FamilyScan:
+                workers: int, rows=None) -> FamilyScan:
     """Denominator, numerator, and weighted minimum over the whole family.
 
     The family is cut into chunks of _CHUNK consecutive d, so memory is
@@ -403,12 +411,14 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     worker and more than one chunk, the chunks run in a process pool of
     that many workers; otherwise in this process.
 
-    An optional ``sink(lines)`` receives every chunk's rows as one bytes
-    object of CSV lines ``d,repr(T(d)),repr(R(d)^2)\r\n``, one line per
-    admissible d in increasing order (empty for a chunk without one).  The
-    process that computes a chunk, a pool worker or the caller, formats
-    its lines; the sink is called in chunk-index order, from the calling
-    process.
+    An optional binary file ``rows`` receives the family's CSV lines
+    ``d,repr(T(d)),repr(R(d)^2)\r\n``, one per admissible d in increasing
+    order.  The process that scans a chunk, a pool worker or the caller,
+    writes the chunk's lines to a part file in a private temporary
+    directory, which outlives the pool; the caller appends each part to
+    ``rows`` in chunk order and deletes it, so no row bytes cross the pool
+    and only a few parts exist at once.  The directory is removed whether
+    or not the scan completes.
     """
     if table.support is None:
         raise ValueError("support not enumerated; call table.with_support()")
@@ -426,21 +436,26 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     bounds = [(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK)]
 
     state = _scan_state(params, table)
-    keep_rows = sink is not None
+    with (contextlib.nullcontext() if rows is None
+          else tempfile.TemporaryDirectory(prefix="reslab-rows-")) as tmp:
+        parts = [None if tmp is None else os.path.join(tmp, f"{i}.csv")
+                 for i in range(len(bounds))]
 
-    def record(summary, lines):
-        if keep_rows:
-            sink(lines)
-        return summary
+        def record(summary, part):
+            if part is not None:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, rows)
+                os.remove(part)
+            return summary
 
-    jobs = (bounds, itertools.repeat(state), itertools.repeat(keep_rows))
-    if workers > 1 and len(bounds) > 1:
-        # here, not at the top: the pool brings multiprocessing (2 MB)
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            done = [record(*res) for res in ex.map(_scan_chunk, *jobs)]
-    else:
-        done = [record(*res) for res in map(_scan_chunk, *jobs)]
+        jobs = (bounds, itertools.repeat(state), parts)
+        if workers > 1 and len(bounds) > 1:
+            # here, not at the top: the pool brings multiprocessing (2 MB)
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                done = list(map(record, ex.map(_scan_chunk, *jobs), parts))
+        else:
+            done = list(map(record, map(_scan_chunk, *jobs), parts))
 
     denom = math.fsum(p for chunk in done for p in chunk[0])
     numer = math.fsum(p for chunk in done for p in chunk[1])
@@ -473,13 +488,13 @@ class RatioReport:
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState, kernel: PartialSumKernel,
-                       workers: int, sink=None) -> RatioReport:
+                       workers: int, rows=None) -> RatioReport:
     """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
     and the sigma diagnostics.  The returned extremal value satisfies the
     exact weighted-average pigeonhole  min <= Num/Den.  ``kernel`` is the
     partial-sum kernel behind the signs, reused for sigma_1 and sigma_2;
-    ``sink`` receives the family's CSV lines as in scan_family."""
-    scan = scan_family(params, table, workers=workers, sink=sink)
+    ``rows`` receives the family's CSV lines as in scan_family."""
+    scan = scan_family(params, table, workers=workers, rows=rows)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom

@@ -32,9 +32,9 @@ The worker count of ``ratio``'s family scan is RESLAB_WORKERS, else the
 CPU count; it has no config key.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
-computes the report: the process that scans a chunk also formats its CSV
-lines, and the scan hands each chunk's line bytes, in chunk order, to a
-sink here that only writes them.
+computes the report: the process that scans a chunk also formats and
+writes its CSV lines, to a part file of its own, and this process only
+concatenates the parts, in chunk order, into the file opened here.
 
 Reports are deterministic: all family reductions happen in fixed chunk
 order, so identical configs produce bit-identical report bytes regardless
@@ -198,9 +198,9 @@ def cmd_ratio(cfg: RunConfig) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     params, table, signs, kernel = _build_pipeline(cfg)
-    with _family_csv(cfg.outdir) as sink:
+    with _family_csv(cfg.outdir) as rows:
         report = charsums.pigeonhole_extract(
-            params, table, signs, kernel, workers=workers, sink=sink)
+            params, table, signs, kernel, workers=workers, rows=rows)
     ok = report.extremal_value <= report.ratio + 1e-9 * abs(report.ratio)
     payload = {
         "version": __version__,
@@ -235,17 +235,18 @@ def cmd_ratio(cfg: RunConfig) -> int:
 
 @contextlib.contextmanager
 def _family_csv(outdir: str):
-    """A scan sink that streams the rows d, T(d), R(d)^2 to
-    family_sums.csv.  The scan hands over each chunk's CSV lines already
-    formatted, so the sink writes bytes; they go to a temp file, renamed
-    into place only when the scan completes."""
+    """The binary file that receives the rows d, T(d), R(d)^2 of
+    family_sums.csv, header written.  The process that scans each chunk
+    writes its CSV lines to a part file, and the scan appends the parts
+    here in chunk order; they go to a temp file, renamed into place only
+    when the scan completes."""
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "family_sums.csv")
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(charsums.FAMILY_CSV_HEADER)
-            yield fh.write
+            yield fh
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -15,9 +15,10 @@ tests/test_cli.py's test_contour_suite, which compares its bytes here, so
 the contour runs once per suite run.  The commands run through cli.main in
 a fresh process whose working directory is a scratch directory, with
 outdir "out", so no temporary path enters the bytes.  That process has one
-BLAS thread, as perfbench's do: analytic.F_direct takes a complex np.dot,
-which BLAS reduces in another order with more threads, and that moves
-verify_factorization.json in its last digits.
+BLAS thread, as perfbench's do.  No output is known to depend on the BLAS
+thread count (analytic.F_direct sums its pairs with np.sum, not a BLAS
+dot, and test_direct_independent_of_blas_threads holds it there), but
+pinning it keeps the manifest's bytes from hanging on that.
 
 To locate a mismatch without storing the outputs, a JSON artifact also
 carries a short digest per leaf key, and a CSV one per block of lines.

@@ -3,6 +3,9 @@ contour evaluation, truncation checks, and the resonance lower bound."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -12,6 +15,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reslab import analytic, arith, checks, resonator, smoothing
 
 import oracles
+
+SRC = os.path.dirname(os.path.dirname(analytic.__file__))
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +288,30 @@ class TestFactorization:
         value, tail = _literal_F(s, table, ell_max, m_max)
         assert abs(fd - value) <= 1e-12 * abs(value)
         assert fd_tail == pytest.approx(tail, rel=1e-12)
+
+    def test_direct_independent_of_blas_threads(self):
+        # the desk lattice has 12 355 (l, e) pairs, enough for OpenBLAS to
+        # split a dot product over its threads; F_direct's sum must not
+        code = (
+            "from reslab import analytic, charsums, resonator\n"
+            "p = resonator.build_params(10**6, mode='explicit', L=2.0,"
+            " x=200.0, B=200.0, Z=200.0**1.5)\n"
+            "t = resonator.build_table(p)\n"
+            "k = charsums.PartialSumKernel(t)\n"
+            "t = t.with_signs(resonator.assign_signs(t, k.S)).with_support()\n"
+            "for s in (0.3 + 0.2j, 0.05, 1.0 + 5.0j):\n"
+            "    v = analytic.F_direct(s, t)[0]\n"
+            "    print(v.real.hex(), v.imag.hex())\n")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 3
 
     def test_schwarz_reflection(self, desk_table):
         s = 0.6 + 2.5j

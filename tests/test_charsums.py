@@ -2,7 +2,9 @@
 orthogonality, and the smoothed central-value formula."""
 
 import dataclasses
+import io
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -16,10 +18,10 @@ from reslab import arith, charsums, checks, resonator, smoothing
 import oracles
 
 
-def _parse_csv_lines(chunks):
-    """Rows (d, T, R^2) of a scan sink's CSV line bytes, parsed with int
-    and float; every line ends in CRLF."""
-    text = b"".join(chunks).decode()
+def _parse_csv_lines(data):
+    """Rows (d, T, R^2) of a scan's CSV line bytes, parsed with int and
+    float; every line ends in CRLF."""
+    text = data.decode()
     assert text == "" or text.endswith("\r\n")
     rows = []
     for line in text.split("\r\n")[:-1]:
@@ -240,11 +242,11 @@ class TestFamilyScan:
     def test_sink_rows_match_per_d_routes(self, small_params, small_table,
                                           D, chunk_size):
         params = dataclasses.replace(small_params, D=D)
-        lines = []
+        out = io.BytesIO()
         with mock.patch.object(charsums, "_CHUNK", chunk_size):
             scan = charsums.scan_family(params, small_table, workers=1,
-                                        sink=lines.append)
-        rows = _parse_csv_lines(lines)
+                                        rows=out)
+        rows = _parse_csv_lines(out.getvalue())
         admissible = [d for d in range(D // 2 + 1, D + 1)
                       if d % 2 == 1 and arith.is_squarefree(d)]
         assert [d for d, _, _ in rows] == admissible
@@ -274,12 +276,11 @@ class TestFamilyScan:
         # any chunk size at either worker count gives the bytes and the
         # summary of one chunk scanned at one worker
         def scan(workers, chunk):
-            lines = []
+            rows = io.BytesIO()
             with mock.patch.object(charsums, "_CHUNK", chunk):
                 out = charsums.scan_family(small_params, small_table,
-                                           workers, sink=lines.append)
-            assert all(isinstance(b, bytes) for b in lines)
-            return out, b"".join(lines)
+                                           workers, rows=rows)
+            return out, rows.getvalue()
 
         one, one_bytes = scan(1, int(small_params.D))
         assert one.chunk_count == 1
@@ -287,31 +288,44 @@ class TestFamilyScan:
         assert got_bytes == one_bytes
         assert got == dataclasses.replace(one, chunk_count=got.chunk_count)
 
-    def test_default_chunk_memory(self, desk_params, desk_table):
+    def test_default_chunk_memory(self, desk_params, desk_table, tmp_path):
         # the chunk width bounds one chunk's working set; 2^17 traced
         # 12.9 MiB
         width = charsums._CHUNK
         state = charsums._scan_state(desk_params, desk_table)
         lo = int(desk_params.D // 2) + 1
         bounds = (lo, lo + width - 1)
-        charsums._scan_chunk(bounds, state, keep_rows=True)
+        part = str(tmp_path / "part.csv")
+        charsums._scan_chunk(bounds, state, part)
         tracemalloc.start()
         try:
-            charsums._scan_chunk(bounds, state, keep_rows=True)
+            charsums._scan_chunk(bounds, state, part)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_chunk_result_is_small(self, desk_params, desk_table, tmp_path):
+        # a chunk's rows stay in its part file: what goes back through the
+        # pool is the summary alone, while the rows of this chunk are about
+        # 600 KB of CSV
+        state = charsums._scan_state(desk_params, desk_table)
+        lo = int(desk_params.D // 2) + 1
+        part = tmp_path / "part.csv"
+        summary = charsums._scan_chunk((lo, lo + charsums._CHUNK - 1), state,
+                                       str(part))
+        assert part.stat().st_size > 500_000
+        assert len(pickle.dumps(summary)) < 1024
+
     def test_default_chunk_matches_wide_chunk(self, desk_params, desk_table):
         params = dataclasses.replace(desk_params, D=300000)
 
         def scan(chunk):
-            lines = []
+            rows = io.BytesIO()
             with mock.patch.object(charsums, "_CHUNK", chunk):
                 out = charsums.scan_family(params, desk_table, workers=1,
-                                           sink=lines.append)
-            return out, b"".join(lines)
+                                           rows=rows)
+            return out, rows.getvalue()
 
         narrow, narrow_bytes = scan(charsums._CHUNK)
         wide, wide_bytes = scan(1 << 17)

@@ -151,7 +151,9 @@ class TestRatioCommand:
             outdir = tmp_path / f"out{w}"
             cfgp = tmp_path / f"run{w}.cfg"
             # D = 3e5 gives five chunks of the default size, so at 2 workers
-            # the pool runs and its workers format the CSV lines
+            # the pool runs: its workers format and write the CSV lines to
+            # part files, and this process only concatenates them in chunk
+            # order
             cfgp.write_text(SMALL_CFG.replace("D = 200", "D = 300000")
                             + f"outdir = {outdir}\n")
             monkeypatch.setenv("RESLAB_WORKERS", w)
@@ -164,6 +166,33 @@ class TestRatioCommand:
         b = reports["2"][0].replace(b"out2", b"out#")
         assert a == b
         assert reports["1"][1] == reports["2"][1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_scan_writes_no_csv(self, tmp_path, monkeypatch, workers):
+        # the third chunk raises, in a pool worker too (the pool forks):
+        # the error propagates, and neither the CSV, its temp file nor a
+        # part file is left
+        parts = tmp_path / "parts"
+        parts.mkdir()
+        monkeypatch.setattr(charsums.tempfile, "tempdir", str(parts))
+        monkeypatch.setattr(charsums, "_CHUNK", 16)
+        monkeypatch.setenv("RESLAB_WORKERS", workers)
+        arrays = charsums._chunk_arrays
+
+        def failing(lo, hi, state):
+            if lo == 101 + 2 * 16:
+                raise RuntimeError("chunk failed")
+            return arrays(lo, hi, state)
+
+        monkeypatch.setattr(charsums, "_chunk_arrays", failing)
+        outdir = tmp_path / "out"
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(SMALL_CFG + f"outdir = {outdir}\n")
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            cli.main(["--config", str(cfgp), "ratio"])
+        assert not (outdir / "family_sums.csv").exists()
+        assert not (outdir / "family_sums.csv.tmp").exists()
+        assert list(parts.iterdir()) == []
 
 
 def _run_cli(args, cwd, workers="1"):
