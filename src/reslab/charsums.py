@@ -383,8 +383,11 @@ def _scan_chunk(bounds: tuple[int, int], state: dict, part: str | None):
 
 
 def default_workers() -> int:
+    """RESLAB_WORKERS, else the number of CPUs this process may run on."""
     env = os.environ.get("RESLAB_WORKERS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         w = int(env)
@@ -409,7 +412,8 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     parts gives the correctly rounded totals, so the result does not
     depend on the worker count or the chunk size.  With more than one
     worker and more than one chunk, the chunks run in a process pool of
-    that many workers; otherwise in this process.
+    that many workers, but no more than there are chunks; otherwise in
+    this process.
 
     An optional binary file ``rows`` receives the family's CSV lines
     ``d,repr(T(d)),repr(R(d)^2)\r\n``, one per admissible d in increasing
@@ -452,7 +456,8 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
         if workers > 1 and len(bounds) > 1:
             # here, not at the top: the pool brings multiprocessing (2 MB)
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as ex:
+            # a fork pool starts every worker at its first submit
+            with ProcessPoolExecutor(min(workers, len(bounds))) as ex:
                 done = list(map(record, ex.map(_scan_chunk, *jobs), parts))
         else:
             done = list(map(record, map(_scan_chunk, *jobs), parts))

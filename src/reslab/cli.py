@@ -29,7 +29,9 @@ and any command whose sign assignment asks for a partial sum S(x/p) above
 charsums.MAX_X.  Each ends with one line on stderr, not a traceback.
 
 The worker count of ``ratio``'s family scan is RESLAB_WORKERS, else the
-CPU count; it has no config key.
+number of CPUs this process may run on (its affinity mask); it has no
+config key.  The config ``seed`` feeds the trials of the ``arith`` and
+``gallagher`` verify suites, each through Python's ``random.Random(seed)``.
 
 ``ratio`` writes family_sums.csv from the same pass over the family that
 computes the report: the process that scans a chunk also formats and

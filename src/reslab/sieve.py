@@ -18,6 +18,7 @@ Fourier transforms use the e^{-2 pi i xi u} convention throughout.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,16 +266,17 @@ class SieveReport:
 _MAX_LEN = 50  # terms of a random trial polynomial, at most
 
 
-def random_polynomial(rng: np.random.Generator) -> DirichletPolynomial:
+def random_polynomial(rng: random.Random) -> DirichletPolynomial:
     """1 to _MAX_LEN terms; coefficients uniform on the unit disk;
     2 <= n <= 10^4 without replacement (n = 1 sits below the y-integral's
     support at dyadic scale, so trials stay inside the lemma's regime)."""
-    length = int(rng.integers(1, _MAX_LEN + 1))
-    ns = rng.choice(np.arange(2, 10_001), size=length, replace=False)
-    r = np.sqrt(rng.uniform(0.0, 1.0, size=length))
-    th = rng.uniform(0.0, 2.0 * math.pi, size=length)
+    length = rng.randint(1, _MAX_LEN)
+    ns = rng.sample(range(2, 10_001), length)
+    r = [math.sqrt(rng.random()) for _ in range(length)]
+    th = [2.0 * math.pi * rng.random() for _ in range(length)]
     return DirichletPolynomial.from_pairs(
-        zip(ns.tolist(), (r * np.exp(1j * th)).tolist()))
+        (n, rn * complex(math.cos(t), math.sin(t)))
+        for n, rn, t in zip(ns, r, th))
 
 
 def sieve_inequality_check(trials: int, seed: int,
@@ -283,10 +285,12 @@ def sieve_inequality_check(trials: int, seed: int,
 
     This is a theorem once alpha is admissible; any failure means a bug.
     The worst ratio lhs / (constant * rhs) is reported for regression
-    freezing (it should sit well below 1).
+    freezing (it should sit well below 1).  The trials come from the
+    stdlib's random.Random(seed), which the process has already loaded;
+    numpy.random would bring OpenSSL in through secrets and hashlib.
     """
     report = admissible_alpha()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
         P = random_polynomial(rng)

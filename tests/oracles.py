@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reslab import analytic, arith, charsums, smoothing
+from reslab import analytic, arith, charsums, sieve, smoothing
 from reslab.resonator import CoefficientTable, ResonatorParams, WorkEstimateError
+from reslab.sieve import DirichletPolynomial
 
 
 def numerator_exact_triple(params: ResonatorParams,
@@ -82,3 +83,34 @@ def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
 
     c = max(abs(kernel_S(y)) / bound(y) for y in y_grid)
     return Sigma2BoundReport(sup_c, relog, sup_l, c)
+
+
+# The Gallagher trials' former stream: numpy's default_rng(seed).  The
+# package now draws them from random.Random(seed); the values this stream
+# froze stay checked through the package's public integrals.
+_MAX_LEN = 50  # terms of a random trial polynomial, at most
+
+
+def random_polynomial(rng: np.random.Generator) -> DirichletPolynomial:
+    """1 to _MAX_LEN terms; coefficients uniform on the unit disk;
+    2 <= n <= 10^4 without replacement (n = 1 sits below the y-integral's
+    support at dyadic scale, so trials stay inside the lemma's regime)."""
+    length = int(rng.integers(1, _MAX_LEN + 1))
+    ns = rng.choice(np.arange(2, 10_001), size=length, replace=False)
+    r = np.sqrt(rng.uniform(0.0, 1.0, size=length))
+    th = rng.uniform(0.0, 2.0 * math.pi, size=length)
+    return DirichletPolynomial.from_pairs(
+        zip(ns.tolist(), (r * np.exp(1j * th)).tolist()))
+
+
+def numpy_stream_ratios(trials: int, seed: int, sigma: float) -> list[float]:
+    """lhs / (constant * rhs) for each of the trials that
+    sieve.sieve_inequality_check drew from np.random.default_rng(seed)."""
+    report = sieve.admissible_alpha()
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        P = random_polynomial(rng)
+        ratios.append(sieve.lhs_integral(P, report.alpha)
+                      / (report.constant * sieve.rhs_integral(P, sigma)))
+    return ratios

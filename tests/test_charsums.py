@@ -1,9 +1,11 @@
 """Character-sum layer: partial-sum kernel, family scan, ratio pipeline,
 orthogonality, and the smoothed central-value formula."""
 
+import concurrent.futures
 import dataclasses
 import io
 import math
+import os
 import pickle
 import tracemalloc
 from unittest import mock
@@ -356,6 +358,50 @@ class TestFamilyScan:
             monkeypatch.setenv("RESLAB_WORKERS", bad)
             with pytest.raises(ValueError, match="positive integer"):
                 charsums.default_workers()
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        # the CPUs this process may run on, not the host's count
+        monkeypatch.delenv("RESLAB_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert charsums.default_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert charsums.default_workers() == 64
+
+    def test_pool_capped_by_chunks(self, small_params, small_table,
+                                   monkeypatch):
+        # a fork pool starts all its workers at the first submit, so a
+        # family of three chunks gets three however many are asked for; the
+        # stand-in runs the chunks here and starts no process
+        made = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        def scan(workers):
+            rows = io.BytesIO()
+            with mock.patch.object(charsums, "_CHUNK", 40):
+                out = charsums.scan_family(small_params, small_table,
+                                           workers, rows=rows)
+            return out, rows.getvalue()
+
+        one = scan(1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        for workers in (2, 3, 8):
+            assert scan(workers) == one
+        assert one[0].chunk_count == 3
+        assert made == [2, 3, 3]
 
 
 class TestRatioPipeline:

@@ -354,9 +354,11 @@ class TestErrorPaths:
 DESK_CFG = golden.DESK_CFG
 
 
-# hashlib loads OpenSSL, and no command hashes anything; only a scan with
-# more than one worker needs the process pool
-_HASHING = ("_hashlib", "hashlib")
+# hashlib loads OpenSSL, and no command hashes anything; numpy.random
+# brings it in too, through secrets, and no command draws from it (the
+# seeded trials use the stdlib's random); only a scan with more than one
+# worker needs the process pool
+_HASHING = ("_hashlib", "hashlib", "secrets", "numpy.random")
 _POOL = ("concurrent", "multiprocessing")
 
 
@@ -364,22 +366,21 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # the ratio path, the partial-sum lattice behind scan-s, the
     # factorization and gallagher suites and the central values need numpy
     # only; scipy is a test-only oracle.  No command loads the pool unless
-    # it runs one, and none loads hashlib; gallagher is spared the hashlib
-    # check because numpy.random imports secrets, which imports hashlib
+    # it runs one, and none loads hashlib or numpy.random
     (tmp_path / "run.cfg").write_text(DESK_CFG)
     everything = ("scipy",) + _POOL + _HASHING
     for args, head, absent, workers in [
             ("", "", everything, "1"),
             ("'verify', 'factorization'", "PASS", everything, "1"),
-            ("'verify', 'gallagher'", "PASS", ("scipy",) + _POOL, "1"),
+            ("'verify', 'gallagher'", "PASS", everything, "1"),
             ("'verify', 'afe'", "PASS", everything, "1"),
             ("'scan-s'", "csv: ", everything, "1"),
             ("'afe', '--d', '100003'", "d = 100003: ", everything, "1"),
             ("'ratio'", "report: ", everything, "1"),
             ("'ratio'", "report: ", ("scipy",) + _HASHING, "2")]:
         run = f"reslab.cli.main(['--config', 'run.cfg', {args}])" if args else ""
-        report = ("print(sorted(m for m in sys.modules "
-                  f"if m.split('.')[0] in {absent!r}))")
+        report = ("print(sorted(m for m in sys.modules if any("
+                  f"(m + '.').startswith(a + '.') for a in {absent!r})))")
         code = f"import sys, reslab.cli\n{run}\n{report}"
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=SRC,

@@ -4,6 +4,7 @@ inequality on random Dirichlet polynomials."""
 
 import cmath
 import math
+import random
 import tracemalloc
 from dataclasses import asdict
 
@@ -13,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from reslab import cli, sieve, smoothing
+
+import oracles
 
 
 class TestDirichletPolynomial:
@@ -42,7 +45,7 @@ class TestLhsIntegral:
 
     def test_closed_form_vs_quadrature(self, monkeypatch):
         monkeypatch.setattr(sieve, "_MAX_LEN", 12)
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(5):
             P = sieve.random_polynomial(rng)
             closed = sieve.lhs_integral(P, 0.02296120471316426)
@@ -268,7 +271,7 @@ class TestAutocorrelation:
 
 class TestInequality:
     def test_random_polynomial_shape(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for _ in range(20):
             P = sieve.random_polynomial(rng)
             ns = [n for n, _ in P.terms]
@@ -280,8 +283,35 @@ class TestInequality:
         rep = sieve.sieve_inequality_check(20, 12345, sigma=0.25)
         assert rep.worst_ratio <= 1.0
         assert rep.worst_ratio == pytest.approx(
-            0.005014467628820947, rel=1e-10)
+            0.004667843736142626, rel=1e-10)
         assert asdict(rep)["seed"] == 12345
+
+    def test_numpy_stream_frozen(self):
+        # the trials numpy's default_rng(12345) drew, through the same
+        # integrals: the value frozen before the stdlib stream
+        ratios = oracles.numpy_stream_ratios(20, 12345, sigma=0.25)
+        assert max(ratios) <= 1.0
+        assert max(ratios) == pytest.approx(0.005014467628820947, rel=1e-10)
+
+    @given(st.integers(min_value=0))
+    @example(0)
+    @example(12345)
+    @settings(max_examples=60, deadline=None)
+    def test_stream_shape_and_repeat(self, seed):
+        P = sieve.random_polynomial(random.Random(seed))
+        ns = [n for n, _ in P.terms]
+        assert 1 <= len(ns) <= 50
+        assert all(2 <= n <= 10_000 for n in ns)
+        assert all(a < b for a, b in zip(ns, ns[1:]))
+        assert all(abs(c) <= 1.0 for _, c in P.terms)
+        assert sieve.random_polynomial(random.Random(seed)) == P
+
+    @given(st.integers(min_value=0), st.integers(0, 3),
+           st.sampled_from(sieve.SIGMA_GRID))
+    @settings(max_examples=10, deadline=None)
+    def test_check_repeats(self, seed, trials, sigma):
+        assert sieve.sieve_inequality_check(trials, seed, sigma) == \
+            sieve.sieve_inequality_check(trials, seed, sigma)
 
     @pytest.mark.parametrize("sigma", sieve.SIGMA_GRID)
     def test_holds_on_every_sigma(self, sigma):
