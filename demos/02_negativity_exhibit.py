@@ -20,12 +20,12 @@ table = table.with_signs(signs).with_support()
 
 # the scan visits every odd squarefree d in (D/2, D], weighting the
 # truncated sum T(d) by the resonator square R(d)^2; chunked compensated
-# sums make the result identical for any worker count; the sigma terms
-# reuse the kernel that chose the signs
+# sums make the result identical for any worker count; sigma_1 reuses the
+# S(x/p) values that chose the signs, and sigma_2 the kernel behind them
 report = charsums.pigeonhole_extract(params, table, signs, kernel, workers=2)
 
 print(f"admissible discriminants: {report.admissible}")
-print(f"denominator  Den = sum R(d)^2      = {report.Den:.4f}")
+print(f"denominator  Den = sum R(d)^2      = {report.den_exact:.4f}")
 print(f"numerator    N   = sum R(d)^2 T(d) = {report.N:.4f}")
 print(f"weighted average N/Den             = {report.ratio:.6f}")
 

@@ -145,18 +145,16 @@ class PartialSumKernel:
 # sigma_1 and sigma_2
 # --------------------------------------------------------------------------
 
-def sigma1(params: ResonatorParams, table: CoefficientTable, signs: SignState,
-           kernel: PartialSumKernel) -> float:
-    """(2/(log x)^2) sum over high-band p of (eps_p / p) S(x/p).
+def sigma1(params: ResonatorParams, signs: SignState) -> float:
+    """(2/(log x)^2) sum over high-band p of (eps_p / p) S(x/p), with the
+    values S(x/p) that assign_signs stored in signs.s_values.
 
     With the sign rule in force every term is -|S(x/p)|/p, so the total is
     nonpositive (ties S = 0 contribute zero either way).
     """
-    x = params.x
-    pref = 2.0 / math.log(x) ** 2
+    pref = 2.0 / math.log(params.x) ** 2
     return pref * math.fsum(
-        signs.epsilon[p] / p * kernel.S(x / p) for p in table.pplus
-    )
+        e / p * signs.s_values[p] for p, e in signs.epsilon.items())
 
 
 def sigma2(params: ResonatorParams, kernel: PartialSumKernel) -> float:
@@ -348,12 +346,12 @@ def _exact_parts(xs: list) -> list:
             return parts
 
 
-FAMILY_CSV_HEADER = b"d,truncated_sum,weight\r\n"
+_CSV_HEADER = b"d,truncated_sum,weight\r\n"
 
 
 def _csv_lines(d, t, w) -> bytes:
     """The rows as CSV lines "d,repr(T),repr(R^2)\r\n" under
-    FAMILY_CSV_HEADER, what csv.writer would write (ints and repr floats
+    _CSV_HEADER, what csv.writer would write (ints and repr floats
     never need quoting)."""
     return "".join([f"{di},{ti!r},{wi!r}\r\n" for di, ti, wi
                     in zip(d.tolist(), t.tolist(), w.tolist())]).encode()
@@ -415,8 +413,8 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     that many workers, but no more than there are chunks; otherwise in
     this process.
 
-    An optional binary file ``rows`` receives the family's CSV lines
-    ``d,repr(T(d)),repr(R(d)^2)\r\n``, one per admissible d in increasing
+    An optional binary file ``rows`` receives the family's CSV: its header,
+    then ``d,repr(T(d)),repr(R(d)^2)\r\n`` per admissible d in increasing
     order.  The process that scans a chunk, a pool worker or the caller,
     writes the chunk's lines to a part file in a private temporary
     directory, which outlives the pool; the caller appends each part to
@@ -440,6 +438,8 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     bounds = [(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK)]
 
     state = _scan_state(params, table)
+    if rows is not None:
+        rows.write(_CSV_HEADER)
     with (contextlib.nullcontext() if rows is None
           else tempfile.TemporaryDirectory(prefix="reslab-rows-")) as tmp:
         parts = [None if tmp is None else os.path.join(tmp, f"{i}.csv")
@@ -479,39 +479,45 @@ def denominator_asymptotic(params: ResonatorParams, table: CoefficientTable) -> 
 
 @dataclass(frozen=True)
 class RatioReport:
-    N: float
-    Den: float
-    ratio: float
+    """ratio_report.json's values: its results, then its diagnostics."""
+
+    den_exact: float
+    den_asymptotic: float
     sigma1: float
     sigma2: float
-    offdiag_bound_observed: float
+    N: float
+    ratio: float
     extremal_d: int
     extremal_value: float
+    offdiag_bound_observed: float
     admissible: int
     sum_rplus_sq: float
+    support_size: int
+    pigeonhole_holds: bool
 
 
 def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
                        signs: SignState, kernel: PartialSumKernel,
                        workers: int, rows=None) -> RatioReport:
-    """Full ratio pipeline: exact Num and Den, the minimizing discriminant,
-    and the sigma diagnostics.  The returned extremal value satisfies the
-    exact weighted-average pigeonhole  min <= Num/Den.  ``kernel`` is the
-    partial-sum kernel behind the signs, reused for sigma_1 and sigma_2;
-    ``rows`` receives the family's CSV lines as in scan_family."""
+    """Full ratio pipeline: every value of ratio_report.json, including
+    whether the minimum keeps the exact weighted-average pigeonhole
+    min <= Num/Den.  sigma_1 reads the S(x/p) in ``signs``, sigma_2 reuses
+    ``kernel``, the kernel behind the signs; ``rows`` is as in scan_family."""
     scan = scan_family(params, table, workers=workers, rows=rows)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom
-    s1 = sigma1(params, table, signs, kernel)
-    s2 = sigma2(params, kernel)
     dasym = denominator_asymptotic(params, table)
-    offdiag = abs(scan.denom - dasym) / params.D ** (5.0 / 6.0)
     return RatioReport(
-        N=scan.numer, Den=scan.denom, ratio=ratio, sigma1=s1, sigma2=s2,
-        offdiag_bound_observed=offdiag, extremal_d=scan.min_d,
-        extremal_value=scan.min_value, admissible=scan.admissible,
+        den_exact=scan.denom, den_asymptotic=dasym,
+        sigma1=sigma1(params, signs), sigma2=sigma2(params, kernel),
+        N=scan.numer, ratio=ratio, extremal_d=scan.min_d,
+        extremal_value=scan.min_value,
+        offdiag_bound_observed=abs(scan.denom - dasym) / params.D ** (5 / 6),
+        admissible=scan.admissible,
         sum_rplus_sq=resonator.sum_rplus_squared(table),
+        support_size=len(table.support),
+        pigeonhole_holds=scan.min_value <= ratio + 1e-9 * abs(ratio),
     )
 
 

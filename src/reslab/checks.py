@@ -16,6 +16,7 @@ from . import analytic, charsums
 
 AFE_GAP = 1e-6     # |AFE - oracle|
 TRIG_GAP = 1e-12   # |(2 cos t + 1) cos t - TRIG_MIN| at the minimum and ends
+ORTHO_GAP = 0.02   # |exact - main| / main of the family sum of chi_8d(n)
 SHIFT_SLACK = 1e-6  # added to the certificates of the shifted contour
 
 
@@ -97,14 +98,14 @@ def central_values(ds) -> list[dict]:
     return _verdict(rows, "d")
 
 
-def orthogonality(ns, D: float, bound: float = 0.02) -> list[dict]:
+def orthogonality(ns, D: float) -> list[dict]:
     """The family sum of chi_8d(n), d in (D/2, D], against its main term, for
-    odd square n; the gap is the relative error."""
+    odd square n; the gap is the relative error, within ORTHO_GAP."""
     rows = []
     for n in ns:
         exact, main, err = charsums.orthogonality_check(n, D)
         rows.append({"n": n, "exact": exact, "main": main,
-                     "gap": abs(err) / main, "bound": bound})
+                     "gap": abs(err) / main, "bound": ORTHO_GAP})
     return _verdict(rows, "n")
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: params | verify <suite> | ratio | scan-s | afe.  Configuration
 is plain ``key = value`` text (UTF-8, '#' comments, no nesting); reports are
-JSON written atomically (temp file + rename) so a failed run leaves no
-partial outputs.
+JSON.  Every file is written through atomic_output (temp file + rename),
+so a failed run leaves no file half written.
 
 Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
 abort.  A failed check is a checks.CheckFailed, raised by an explicit
@@ -33,10 +33,11 @@ number of CPUs this process may run on (its affinity mask); it has no
 config key.  The config ``seed`` feeds the trials of the ``arith`` and
 ``gallagher`` verify suites, each through Python's ``random.Random(seed)``.
 
-``ratio`` writes family_sums.csv from the same pass over the family that
-computes the report: the process that scans a chunk also formats and
-writes its CSV lines, to a part file of its own, and this process only
-concatenates the parts, in chunk order, into the file opened here.
+``ratio`` writes charsums.pigeonhole_extract's RatioReport, split into
+``results`` and ``diagnostics``, and family_sums.csv from the same pass
+over the family: the process that scans a chunk also writes its CSV lines,
+to a part file of its own, and this process only concatenates the parts,
+in chunk order, into the file opened here.
 
 Reports are deterministic: all family reductions happen in fixed chunk
 order, so identical configs produce bit-identical report bytes regardless
@@ -132,11 +133,20 @@ class RunConfig:
         return resonator.build_params(self.D, a=self.a, mode=self.mode, **kw)
 
 
-def atomic_write(path: str, data: str) -> None:
+@contextlib.contextmanager
+def atomic_output(path: str):
+    """A binary file on path + ".tmp", in a directory made if missing;
+    renamed to path when the block completes, removed on any error."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def canonical_json(payload: dict) -> str:
@@ -157,9 +167,9 @@ def _check_outdir(outdir: str) -> None:
 
 
 def write_report(outdir: str, name: str, payload: dict) -> str:
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    atomic_write(path, canonical_json(payload) + "\n")
+    with atomic_output(path) as fh:
+        fh.write((canonical_json(payload) + "\n").encode())
     return path
 
 
@@ -194,66 +204,35 @@ def _build_pipeline(cfg: RunConfig):
     return params, table, signs, kernel
 
 
+# the RatioReport fields under "results"; the others are "diagnostics"
+_RESULTS = ("den_exact", "den_asymptotic", "sigma1", "sigma2", "N", "ratio",
+            "extremal_d", "extremal_value")
+
+
 def cmd_ratio(cfg: RunConfig) -> int:
     try:
         workers = charsums.default_workers()
     except ValueError as e:
         raise ConfigError(str(e)) from e
     params, table, signs, kernel = _build_pipeline(cfg)
-    with _family_csv(cfg.outdir) as rows:
+    with atomic_output(os.path.join(cfg.outdir, "family_sums.csv")) as rows:
         report = charsums.pigeonhole_extract(
             params, table, signs, kernel, workers=workers, rows=rows)
-    ok = report.extremal_value <= report.ratio + 1e-9 * abs(report.ratio)
-    payload = {
+    diagnostics = asdict(report)
+    results = {key: diagnostics.pop(key) for key in _RESULTS}
+    path = write_report(cfg.outdir, "ratio_report.json", {
         "version": __version__,
         "config": {k: getattr(cfg, k) for k in sorted(_ALL_KEYS)},
-        "results": {
-            "den_exact": report.Den,
-            "den_asymptotic": charsums.denominator_asymptotic(params, table),
-            "sigma1": report.sigma1,
-            "sigma2": report.sigma2,
-            "N": report.N,
-            "ratio": report.ratio,
-            "extremal_d": report.extremal_d,
-            "extremal_value": report.extremal_value,
-        },
-        "diagnostics": {
-            "offdiag_bound_observed": report.offdiag_bound_observed,
-            "admissible": report.admissible,
-            "sum_rplus_sq": report.sum_rplus_sq,
-            "support_size": len(table.support),
-            "pigeonhole_holds": bool(ok),
-        },
-    }
-    path = write_report(cfg.outdir, "ratio_report.json", payload)
+        "results": results,
+        "diagnostics": diagnostics,
+    })
     print(f"report: {path}")
     print(f"ratio N/Den = {report.ratio!r}")
     print(f"extremal d* = {report.extremal_d}, sum = {report.extremal_value!r}")
-    if not ok:
+    if not report.pigeonhole_holds:
         print("FAIL: pigeonhole violated")
         return EXIT_ASSERT
     return EXIT_PASS
-
-
-@contextlib.contextmanager
-def _family_csv(outdir: str):
-    """The binary file that receives the rows d, T(d), R(d)^2 of
-    family_sums.csv, header written.  The process that scans each chunk
-    writes its CSV lines to a part file, and the scan appends the parts
-    here in chunk order; they go to a temp file, renamed into place only
-    when the scan completes."""
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "family_sums.csv")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(charsums.FAMILY_CSV_HEADER)
-            yield fh
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
 
 
 def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
@@ -270,11 +249,11 @@ def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
     ys = np.exp(np.linspace(math.log(y_lo), math.log(y_hi), npoints))
     rows = [(float(y), kernel.S(float(y)), kernel.S_star(float(y)),
              kernel.S_tilde(float(y))) for y in ys]
-    os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, "scan_s.csv")
     # repr floats never need quoting; \r\n ends each line, as in RFC 4180
     lines = ["y,S,S_star,S_tilde"] + [",".join(map(repr, row)) for row in rows]
-    atomic_write(path, "".join(line + "\r\n" for line in lines))
+    with atomic_output(path) as fh:
+        fh.write("".join(line + "\r\n" for line in lines).encode())
 
     # best dyadic window [A/2, A] for int |S~| dy/y, capped at A <= U
     lx = math.log(params.x)

@@ -183,14 +183,14 @@ class SignState:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Sparse resonator data: band primes, per-prime values, optional signs,
-    and (after enumeration) the squarefree support up to Z."""
+    """Sparse resonator data: band primes, per-prime values (on the high
+    band once signs are assigned), and (after enumeration) the squarefree
+    support up to Z."""
 
     params: ResonatorParams
     pminus: tuple[int, ...]
     pplus: tuple[int, ...]
     r_at_prime: MappingProxyType
-    epsilon: MappingProxyType | None = None
     support: tuple[tuple[int, float], ...] | None = None
 
     def r(self, p: int) -> float:
@@ -200,8 +200,7 @@ class CoefficientTable:
         vals = dict(self.r_at_prime)
         for p in self.pplus:
             vals[p] = r_plus(p, signs.epsilon[p], self.params)
-        return replace(self, r_at_prime=MappingProxyType(vals),
-                       epsilon=signs.epsilon)
+        return replace(self, r_at_prime=MappingProxyType(vals))
 
     def with_support(self) -> "CoefficientTable":
         return replace(self, support=enumerate_support(self))

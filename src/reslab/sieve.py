@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import smoothing
+from . import checks, smoothing
 from .smoothing import AccuracyError
 
 SUPPORT_C = math.log(4.0)  # f_sigma lives on [-log 4, 0]
@@ -298,7 +298,7 @@ def sieve_inequality_check(trials: int, seed: int,
         rhs = rhs_integral(P, sigma)
         bound = report.constant * rhs
         if not lhs <= bound * (1.0 + 1e-9):
-            raise AssertionError(
+            raise checks.CheckFailed(
                 f"sieve inequality violated: lhs {lhs} > bound {bound}")
         if bound > 0:
             worst = max(worst, lhs / bound)

@@ -21,12 +21,14 @@ import oracles
 
 
 def _parse_csv_lines(data):
-    """Rows (d, T, R^2) of a scan's CSV line bytes, parsed with int and
-    float; every line ends in CRLF."""
+    """Rows (d, T, R^2) of a scan's CSV bytes, parsed with int and float
+    after the header; every line ends in CRLF."""
     text = data.decode()
-    assert text == "" or text.endswith("\r\n")
+    assert text.endswith("\r\n")
+    header, *lines = text.split("\r\n")[:-1]
+    assert header == "d,truncated_sum,weight"
     rows = []
-    for line in text.split("\r\n")[:-1]:
+    for line in lines:
         d, t, w = line.split(",")
         rows.append((int(d), float(t), float(w)))
     return rows
@@ -153,16 +155,13 @@ class TestSigmas:
         assert fast == pytest.approx(2.7891790342039684, rel=1e-12)
         assert fast == pytest.approx(slow, rel=1e-12)
 
-    def test_sigma1_nonpositive(self, small_params, small_table, small_signs,
-                                small_kernel):
-        s1 = charsums.sigma1(small_params, small_table, small_signs,
-                             small_kernel)
+    def test_sigma1_nonpositive(self, small_params, small_signs):
+        s1 = charsums.sigma1(small_params, small_signs)
         assert s1 <= 0.0
         assert s1 == pytest.approx(-0.013478570458728353, rel=1e-12)
 
-    def test_sigma1_desk_frozen(self, desk_params, desk_table, desk_signs,
-                                desk_kernel):
-        s1 = charsums.sigma1(desk_params, desk_table, desk_signs, desk_kernel)
+    def test_sigma1_desk_frozen(self, desk_params, desk_signs):
+        s1 = charsums.sigma1(desk_params, desk_signs)
         assert s1 <= 0.0
         assert s1 == pytest.approx(-0.003528976676930371, rel=1e-12)
 
@@ -411,7 +410,7 @@ class TestRatioPipeline:
                                           small_signs, small_kernel, workers=1)
         assert rep.extremal_value <= rep.ratio + 1e-12
         assert rep.N == pytest.approx(65.88514883761619, rel=1e-13)
-        assert rep.Den == pytest.approx(40.60834824400651, rel=1e-13)
+        assert rep.den_exact == pytest.approx(40.60834824400651, rel=1e-13)
         assert rep.extremal_d == 181
         assert rep.extremal_value == pytest.approx(
             -0.709310344985197, rel=1e-12)
@@ -419,11 +418,27 @@ class TestRatioPipeline:
         d = dataclasses.asdict(rep)
         assert d["ratio"] == rep.ratio and d["extremal_d"] == 181
 
+    def test_one_partial_sum(self, small_params, small_table, small_signs,
+                             small_kernel, monkeypatch):
+        # sigma_1 reads the S(x/p) held in the signs: only sigma_2 calls S
+        calls = []
+        S = charsums.PartialSumKernel.S
+        monkeypatch.setattr(charsums.PartialSumKernel, "S",
+                            lambda self, y: calls.append(y) or S(self, y))
+        rep = charsums.pigeonhole_extract(small_params, small_table,
+                                          small_signs, small_kernel, workers=1)
+        assert calls == [small_params.x]
+        assert rep.sigma1 == charsums.sigma1(small_params, small_signs)
+        assert rep.den_asymptotic == charsums.denominator_asymptotic(
+            small_params, small_table)
+        assert rep.support_size == len(small_table.support)
+        assert rep.pigeonhole_holds is True
+
     def test_desk_report(self, desk_params, desk_table, desk_signs,
                          desk_kernel):
         rep = charsums.pigeonhole_extract(desk_params, desk_table, desk_signs,
                                           desk_kernel, workers=2)
-        assert rep.Den == pytest.approx(215071.31383520033, rel=1e-13)
+        assert rep.den_exact == pytest.approx(215071.31383520033, rel=1e-13)
         assert rep.N == pytest.approx(343369.3786818204, rel=1e-13)
         assert rep.ratio == pytest.approx(1.5965373185237024, rel=1e-13)
         assert rep.extremal_d == 958411
@@ -444,12 +459,14 @@ class TestRatioPipeline:
 
 class TestOrthogonality:
     def test_odd_square_main_term(self):
-        [row] = checks.orthogonality([9], 1e5, 0.005)
+        [row] = checks.orthogonality([9], 1e5)
+        assert row["gap"] <= 0.005
         assert row["main"] == pytest.approx(
             3.0 / math.pi**2 * 1e5 * (2 / 3) * (3 / 4), rel=1e-13)
 
     def test_n_equals_one(self):
-        [row] = checks.orthogonality([1], 1e4, 0.01)
+        [row] = checks.orthogonality([1], 1e4)
+        assert row["gap"] <= 0.01
         # counts the admissible d themselves
         count = sum(1 for d in range(5001, 10001, 2) if arith.is_squarefree(d))
         assert row["exact"] == count

@@ -85,10 +85,25 @@ class TestReports:
         assert s.index('"a"') < s.index('"b"')
 
     def test_atomic_write(self, tmp_path):
-        path = str(tmp_path / "x.json")
-        cli.atomic_write(path, "data")
-        assert open(path).read() == "data"
+        path = str(tmp_path / "new" / "x.json")
+        with cli.atomic_output(path) as fh:
+            fh.write(b"data")
+        assert open(path, "rb").read() == b"data"
         assert not os.path.exists(path + ".tmp")
+
+    def test_atomic_output_failure_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "x.json")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with cli.atomic_output(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("mid-write")
+        assert os.listdir(tmp_path) == []
+        # a directory on the path makes the rename fail
+        os.mkdir(path)
+        with pytest.raises(IsADirectoryError):
+            with cli.atomic_output(path) as fh:
+                fh.write(b"data")
+        assert os.listdir(tmp_path) == ["x.json"]
 
 
 class TestExitCodes:
@@ -235,7 +250,8 @@ class TestErrorPaths:
                 # abspath("") is the cwd, but os.makedirs("") fails
                 bad.write_text(SMALL_CFG + "outdir =\n")
             elif case == "seed_negative":
-                # numpy's SeedSequence refuses a negative seed
+                # random.Random(-s) seeds the same stream as
+                # random.Random(s), so a negative seed would alias one
                 bad.write_text(SMALL_CFG + "seed = -1\n")
             else:
                 bad.write_bytes(SMALL_CFG.encode() + b"# \xff\n")

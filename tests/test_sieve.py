@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from reslab import cli, sieve, smoothing
+from reslab import checks, cli, sieve, smoothing
 
 import oracles
 
@@ -322,7 +322,8 @@ class TestInequality:
     def test_nan_side_fails(self, route, monkeypatch, tmp_path, capsys):
         # a NaN side used to pass every trial and report worst_ratio 0.0
         monkeypatch.setattr(sieve, route, lambda P, arg: math.nan)
-        with pytest.raises(AssertionError, match="sieve inequality violated"):
+        with pytest.raises(checks.CheckFailed,
+                           match="sieve inequality violated"):
             sieve.sieve_inequality_check(25, seed=0, sigma=0.25)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "gallagher"]) == cli.EXIT_ASSERT
