@@ -39,7 +39,7 @@ print(f"support size after squarefree enumeration: {len(table.support)}")
 
 # (2 cos t + 1) cos t >= (3 - sqrt 3)/2 on the band: the identity behind
 # the resonance lower bound
-rep = analytic.resonance_bound(table, params)
+rep = analytic.resonance_bound(table)
 print(f"\ntrig minimum over the band: {rep.trig_min_observed:.6f} "
       f">= {analytic.TRIG_MIN:.6f}")
 print(f"resonance ratio |F|^2 / prod(1 + 2|r~|/sqrt p) = {rep.ratio:.4f} > 1")

@@ -22,7 +22,7 @@ table = table.with_signs(signs).with_support()
 # truncated sum T(d) by the resonator square R(d)^2; chunked compensated
 # sums make the result identical for any worker count; sigma_1 reuses the
 # S(x/p) values that chose the signs, and sigma_2 the kernel behind them
-report = charsums.pigeonhole_extract(params, table, signs, kernel, workers=2)
+report = charsums.pigeonhole_extract(table, signs, kernel, workers=2)
 
 print(f"admissible discriminants: {report.admissible}")
 print(f"denominator  Den = sum R(d)^2      = {report.den_exact:.4f}")

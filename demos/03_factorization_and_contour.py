@@ -41,6 +41,6 @@ for row in checks.contour(ys, right, kernel):
 # small circle; circle + shifted line must equal the right-line values
 # just computed, which the check reads instead of building them again
 print("\n   y     circle + shifted   right line         gap")
-for row in checks.contour_shift(ys, right, table, params):
+for row in checks.contour_shift(ys, right, table):
     print(f"  {row['y']:4.0f}   {row['shifted']:+.8f}        "
           f"{row['contour']:+.8f}   {row['gap']:.2e} (cert {row['bound']:.2e})")

@@ -9,13 +9,13 @@ checks the orthogonality relation that underlies the family averages.
 
 import math
 
-from reslab import charsums, checks
+from reslab import arith, charsums, checks
 
 # the AFE folds the series at sqrt(conductor), weighting with the
 # incomplete-gamma kernel V; the oracle sums the plain series by residue
 # classes with Euler-Maclaurin tails
 rows = checks.central_values(
-    [d for d in range(1, 200, 2) if charsums.arith.is_squarefree(d)])
+    [d for d in range(1, 200, 2) if arith.is_squarefree(d)])
 print("  d     L(1/2, chi_8d)    oracle gap")
 for row in rows[:9]:
     print(f"  {row['d']:3d}   {row['value']:.12f}   {row['gap']:.2e}")

@@ -351,7 +351,7 @@ def S_via_contour(y, table: CoefficientTable) -> ContourValue:
     return ContourValue(value, err)
 
 
-def shifted_contour(ys, table: CoefficientTable, params: ResonatorParams
+def shifted_contour(ys, table: CoefficientTable
                     ) -> tuple[ContourValue, ContourValue]:
     """The right line moved to Re(s) = -1/(log log D)^2, as arrays over ys:
     a small circle around the pole at s = 0 and the shifted line, each with
@@ -359,6 +359,7 @@ def shifted_contour(ys, table: CoefficientTable, params: ResonatorParams
     Re(s) = 1/4.  F is evaluated once on the circle, 512 trapezoid points
     of radius min(1/log max(x, max ys, 3), 0.15), and once on the shifted
     line, where G is cut at a log tail of 1e-3."""
+    params = table.params
     ys = [float(v) for v in ys]
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
@@ -397,8 +398,7 @@ class RankinReport:
     square_gap_weighted: float
 
 
-def verify_rankin_truncations(table: CoefficientTable,
-                              params: ResonatorParams) -> RankinReport:
+def verify_rankin_truncations(table: CoefficientTable) -> RankinReport:
     """Three finite checks on the resonator coefficient mass.
 
     (i)  sum over all band-smooth squarefree n of |r(n)| d(n)/sqrt(n)
@@ -409,7 +409,8 @@ def verify_rankin_truncations(table: CoefficientTable,
     (iii) sum over all of them of r(n)^2 g(n) equals prod(1 + r(p)^2 g(p))
          for g = 1 and g(p) = p/(p+1).
 
-    Enumerates every smooth integer, so the table must be small.
+    Enumerates every smooth integer, by resonator.band_products, so the
+    table must be small.
     """
     primes = sorted(set(table.pminus) | set(table.pplus))
     if len(primes) > 20:
@@ -418,22 +419,18 @@ def verify_rankin_truncations(table: CoefficientTable,
         if p not in table.r_at_prime:
             raise resonator.ParamsError("assign signs before the Rankin checks")
     rvals = {p: table.r(p) for p in primes}
-    items = [(1, 1.0)]
-    for p in primes:
-        items += [(n * p, v * rvals[p]) for n, v in items]
-
-    lhs = math.fsum(abs(v) * arith.divisor_count(arith.factorize(n)) / math.sqrt(n)
-                    for n, v in items)
+    items = list(resonator.band_products(list(rvals.items()), math.inf))
+    # n is squarefree, so d(n) = 2^(number of its primes)
+    mass = [(n, abs(v) * 2 ** len(ps) / math.sqrt(n)) for n, v, ps in items]
+    lhs = math.fsum(m for _, m in mass)
     prod = 1.0
     for p in primes:
         prod *= 1.0 + 2.0 * abs(rvals[p]) / math.sqrt(p)
     identity_gap = abs(lhs - prod) / prod
 
-    M1 = math.sqrt(max(n for n, _ in items))
-    alpha = 1.0 / math.log(math.log(params.D)) ** 2
-    tail_lhs = math.fsum(
-        abs(v) * arith.divisor_count(arith.factorize(n)) / math.sqrt(n)
-        for n, v in items if n > M1)
+    M1 = math.sqrt(max(n for n, _, _ in items))
+    alpha = 1.0 / math.log(math.log(table.params.D)) ** 2
+    tail_lhs = math.fsum(m for n, m in mass if n > M1)
     rank = 1.0
     for p in primes:
         rank *= 1.0 + 2.0 * abs(rvals[p]) * p ** (alpha - 0.5)
@@ -441,8 +438,8 @@ def verify_rankin_truncations(table: CoefficientTable,
 
     gaps = []
     for g in (lambda p: 1.0, lambda p: p / (p + 1.0)):
-        ssum = math.fsum(v * v * math.prod(g(q) for q in primes if n % q == 0)
-                         for n, v in items)
+        ssum = math.fsum(v * v * math.prod(g(q) for q in ps)
+                         for _, v, ps in items)
         sprod = 1.0
         for p in primes:
             sprod *= 1.0 + rvals[p] ** 2 * g(p)
@@ -474,8 +471,7 @@ class ResonanceReport:
     trig_min_observed: float
 
 
-def resonance_bound(table: CoefficientTable,
-                    params: ResonatorParams) -> ResonanceReport:
+def resonance_bound(table: CoefficientTable) -> ResonanceReport:
     """Evaluate |F(sigma + it)|^2 / prod(1 + 2|r~(p)|/sqrt(p)) on 41 points
     of t within 1/(log log D)^2 of the resonance point t = 1/(2 log L),
     sigma = 1/(log x)^2, and the band sum
@@ -484,8 +480,8 @@ def resonance_bound(table: CoefficientTable,
     The trig identity makes every band summand at least (3 - sqrt(3))/2
     divided by p log p.
     """
-    L = params.L
-    t0 = 1.0 / (2.0 * math.log(L))
+    params = table.params
+    t0 = 1.0 / (2.0 * math.log(params.L))
     t_window = 1.0 / math.log(math.log(params.D)) ** 2
     sigma = 1.0 / math.log(params.x) ** 2
     denom = 1.0
@@ -495,7 +491,7 @@ def resonance_bound(table: CoefficientTable,
     fv, _ = F_factored_bounded(sigma + 1j * ts, table, _g_tail_pmax(sigma, 1e-6))
     ratios = np.abs(fv) ** 2 / denom
     i = int(np.argmax(ratios))
-    theta = {p: math.log(p) / (2.0 * math.log(L)) for p in table.pminus}
+    theta = {p: math.log(p) / (2.0 * math.log(params.L)) for p in table.pminus}
     band_sum = math.fsum(
         trig_product(theta[p]) / (p * math.log(p)) for p in table.pminus)
     tmin = min(trig_product(theta[p]) for p in table.pminus)

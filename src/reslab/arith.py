@@ -135,23 +135,14 @@ def primes_in(lo: float, hi: float) -> np.ndarray:
 
 
 def squarefree_sieve(lo: int, hi: int) -> np.ndarray:
-    """Indicator array for mu^2(n), n in [lo, hi] inclusive.
-
-    The sieve walks the output in windows of SEGMENT integers.
-    """
+    """Indicator array for mu^2(n), n in [lo, hi] inclusive."""
     lo, hi = int(lo), int(hi)
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got ({lo}, {hi})")
     out = np.ones(hi - lo + 1, dtype=np.uint8)
-    ps = primes_up_to(math.isqrt(hi))
-    for start in range(lo, hi + 1, SEGMENT):
-        stop = min(start + SEGMENT - 1, hi)
-        view = out[start - lo : stop - lo + 1]
-        for p in ps:
-            p2 = int(p) * int(p)
-            first = ((start + p2 - 1) // p2) * p2
-            if first <= stop:
-                view[first - start :: p2] = 0
+    for p in primes_up_to(math.isqrt(hi)).tolist():
+        # the first multiple of p^2 at or above lo sits at index -lo % p^2
+        out[-lo % (p * p) :: p * p] = 0
     return out
 
 

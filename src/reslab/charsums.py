@@ -83,7 +83,6 @@ class PartialSumKernel:
     """
 
     def __init__(self, table: CoefficientTable):
-        self.table = table
         self.params = table.params
         self._band = tuple((p, 2.0 * resonator.r_tilde(p, table))
                            for p in sorted(table.pminus))
@@ -157,16 +156,16 @@ def sigma1(params: ResonatorParams, signs: SignState) -> float:
         e / p * signs.s_values[p] for p, e in signs.epsilon.items())
 
 
-def sigma2(params: ResonatorParams, kernel: PartialSumKernel) -> float:
+def sigma2(kernel: PartialSumKernel) -> float:
     """The diagonal remainder; identically S(x)."""
-    return kernel.S(params.x)
+    return kernel.S(kernel.params.x)
 
 
-def sigma2_display(params: ResonatorParams, table: CoefficientTable) -> float:
+def sigma2_display(table: CoefficientTable) -> float:
     """Independent plain-loop evaluation of the sigma_2 double sum, used as
     a cross-check on the kernel: iterates candidate l directly and factors
     by trial division instead of using the kernel's caches."""
-    x = params.x
+    x = table.params.x
     lim = int(2.0 * x)
     pm = sorted(table.pminus)
     total = 0.0
@@ -197,13 +196,13 @@ def sigma2_display(params: ResonatorParams, table: CoefficientTable) -> float:
                         while mm % q == 0:
                             mm //= q
                         if ell % q != 0:
-                            b *= resonator.b_prime_factor(q, params)
+                            b *= resonator.b_prime_factor(q, table.params)
                     q += 2
                 if mm % 2 == 0:
                     while mm % 2 == 0:
                         mm //= 2
                 if mm > 1 and ell % mm != 0:
-                    b *= resonator.b_prime_factor(mm, params)
+                    b *= resonator.b_prime_factor(mm, table.params)
                 total += coef * b / m * w
             m += 1
     return total
@@ -254,7 +253,7 @@ class FamilyScan:
     chunk_count: int
 
 
-def _scan_state(params, table):
+def _scan_state(table):
     """What every chunk of one scan shares: the support with r(n), the
     truncation weights phi(n/x)/sqrt(n), and the prime basis.
 
@@ -264,7 +263,7 @@ def _scan_state(params, table):
     factor; sorted by n, so the cofactor n/p, which is in the list or is 1,
     always comes first.
     """
-    x = params.x
+    x = table.params.x
     support = [(int(n), float(r)) for n, r in table.support]
     truncation = []
     for n in range(1, int(2 * x) + 1, 2):
@@ -400,9 +399,9 @@ def default_workers() -> int:
 _CHUNK = 1 << 15
 
 
-def scan_family(params: ResonatorParams, table: CoefficientTable,
-                workers: int, rows=None) -> FamilyScan:
-    """Denominator, numerator, and weighted minimum over the whole family.
+def scan_family(table: CoefficientTable, workers: int, rows=None) -> FamilyScan:
+    """Denominator, numerator and weighted minimum over the family of
+    table.params.
 
     The family is cut into chunks of _CHUNK consecutive d, so memory is
     bounded by one chunk's arrays (and, with a pool, one per worker).  Each
@@ -424,20 +423,20 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     """
     if table.support is None:
         raise ValueError("support not enumerated; call table.with_support()")
-    D = params.D
+    D, x = table.params.D, table.params.x
     if (D > MAX_D_EXACT or len(table.support) > resonator.MAX_SUPPORT
-            or params.x > MAX_X):
+            or x > MAX_X):
         raise WorkEstimateError(
             f"exact scan guard: need D <= {MAX_D_EXACT}, support <= "
             f"{resonator.MAX_SUPPORT}, x <= {MAX_X}; got D = {D}, "
-            f"support = {len(table.support)}, x = {params.x}")
+            f"support = {len(table.support)}, x = {x}")
     lo = int(D // 2) + 1
     hi = int(D)
     if lo > hi:
         raise EmptyFamilyError(f"empty range ({D/2}, {D}]")
     bounds = [(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK)]
 
-    state = _scan_state(params, table)
+    state = _scan_state(table)
     if rows is not None:
         rows.write(_CSV_HEADER)
     with (contextlib.nullcontext() if rows is None
@@ -469,12 +468,12 @@ def scan_family(params: ResonatorParams, table: CoefficientTable,
     return FamilyScan(denom, numer, best[0], best[1], count, len(bounds))
 
 
-def denominator_asymptotic(params: ResonatorParams, table: CoefficientTable) -> float:
+def denominator_asymptotic(table: CoefficientTable) -> float:
     """(2/pi^2) D * prod over the low band of (1 + r'(p)^2)."""
     prod = 1.0
     for p in table.pminus:
         prod *= 1.0 + resonator.r_prime(p, table) ** 2
-    return 2.0 / math.pi**2 * params.D * prod
+    return 2.0 / math.pi**2 * table.params.D * prod
 
 
 @dataclass(frozen=True)
@@ -496,21 +495,22 @@ class RatioReport:
     pigeonhole_holds: bool
 
 
-def pigeonhole_extract(params: ResonatorParams, table: CoefficientTable,
-                       signs: SignState, kernel: PartialSumKernel,
-                       workers: int, rows=None) -> RatioReport:
+def pigeonhole_extract(table: CoefficientTable, signs: SignState,
+                       kernel: PartialSumKernel, workers: int,
+                       rows=None) -> RatioReport:
     """Full ratio pipeline: every value of ratio_report.json, including
     whether the minimum keeps the exact weighted-average pigeonhole
     min <= Num/Den.  sigma_1 reads the S(x/p) in ``signs``, sigma_2 reuses
     ``kernel``, the kernel behind the signs; ``rows`` is as in scan_family."""
-    scan = scan_family(params, table, workers=workers, rows=rows)
+    params = table.params
+    scan = scan_family(table, workers=workers, rows=rows)
     if scan.denom <= 0.0 or scan.min_d < 0:
         raise EmptyFamilyError("denominator vanishes: no admissible d")
     ratio = scan.numer / scan.denom
-    dasym = denominator_asymptotic(params, table)
+    dasym = denominator_asymptotic(table)
     return RatioReport(
         den_exact=scan.denom, den_asymptotic=dasym,
-        sigma1=sigma1(params, signs), sigma2=sigma2(params, kernel),
+        sigma1=sigma1(params, signs), sigma2=sigma2(kernel),
         N=scan.numer, ratio=ratio, extremal_d=scan.min_d,
         extremal_value=scan.min_value,
         offdiag_bound_observed=abs(scan.denom - dasym) / params.D ** (5 / 6),

@@ -68,12 +68,12 @@ def contour(ys, cv: analytic.ContourValue, kernel) -> list[dict]:
     return _verdict(rows, "y")
 
 
-def contour_shift(ys, cv: analytic.ContourValue, table, params) -> list[dict]:
+def contour_shift(ys, cv: analytic.ContourValue, table) -> list[dict]:
     """The pole's circle plus the shifted line against the right line, cv =
     S_via_contour(ys) as already evaluated for a sequence ys, within cv's
     error estimate, both certificates of the shifted contour and
     SHIFT_SLACK."""
-    circle, line = analytic.shifted_contour(ys, table, params)
+    circle, line = analytic.shifted_contour(ys, table)
     total = circle.value + line.value
     bound = (cv.err_estimate + line.err_estimate + circle.err_estimate
              + SHIFT_SLACK)

@@ -3,7 +3,8 @@
 Subcommands: params | verify <suite> | ratio | scan-s | afe.  Configuration
 is plain ``key = value`` text (UTF-8, '#' comments, no nesting); reports are
 JSON.  Every file is written through atomic_output (temp file + rename),
-so a failed run leaves no file half written.
+so a failed run leaves no file half written; a command's report is written
+inside its CSV's block, so a failed report leaves no new CSV either.
 
 Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
 abort.  A failed check is a checks.CheckFailed, raised by an explicit
@@ -15,9 +16,10 @@ RESLAB_WORKERS that is not a positive integer, an ``afe --d`` up to
 charsums.MAX_D_EXACT that is not odd and squarefree, a ``ratio`` whose
 family holds no admissible d (charsums.EmptyFamilyError), a ``scan-s``
 whose npoints is below 1 or whose y_lo, y_hi are not finite with
-0 < y_lo < y_hi, and an outdir that is empty or cannot be a directory
-because a file stands on its path; a command that writes checks its
-outdir before any work, but creates it only when it writes.
+0 < y_lo < y_hi, an outdir that is empty or cannot be a directory
+because a file stands on its path, and an output path that cannot be
+written; a command that writes checks its outdir before any work, but
+creates it only when it writes.
 Work-estimate aborts are one class,
 resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
 resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
@@ -201,7 +203,7 @@ def _build_pipeline(cfg: RunConfig):
     signs = resonator.assign_signs(table, kernel.S)
     # the kernel reads only the low band, which signs and support leave alone
     table = table.with_signs(signs).with_support()
-    return params, table, signs, kernel
+    return table, signs, kernel
 
 
 # the RatioReport fields under "results"; the others are "diagnostics"
@@ -214,18 +216,18 @@ def cmd_ratio(cfg: RunConfig) -> int:
         workers = charsums.default_workers()
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    params, table, signs, kernel = _build_pipeline(cfg)
+    table, signs, kernel = _build_pipeline(cfg)
     with atomic_output(os.path.join(cfg.outdir, "family_sums.csv")) as rows:
         report = charsums.pigeonhole_extract(
-            params, table, signs, kernel, workers=workers, rows=rows)
-    diagnostics = asdict(report)
-    results = {key: diagnostics.pop(key) for key in _RESULTS}
-    path = write_report(cfg.outdir, "ratio_report.json", {
-        "version": __version__,
-        "config": {k: getattr(cfg, k) for k in sorted(_ALL_KEYS)},
-        "results": results,
-        "diagnostics": diagnostics,
-    })
+            table, signs, kernel, workers=workers, rows=rows)
+        diagnostics = asdict(report)
+        results = {key: diagnostics.pop(key) for key in _RESULTS}
+        path = write_report(cfg.outdir, "ratio_report.json", {
+            "version": __version__,
+            "config": {k: getattr(cfg, k) for k in sorted(_ALL_KEYS)},
+            "results": results,
+            "diagnostics": diagnostics,
+        })
     print(f"report: {path}")
     print(f"ratio N/Den = {report.ratio!r}")
     print(f"extremal d* = {report.extremal_d}, sum = {report.extremal_value!r}")
@@ -245,18 +247,13 @@ def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
     if y_hi > charsums.MAX_X:
         raise resonator.WorkEstimateError(
             f"scan-s guard: need y_hi <= {charsums.MAX_X}, got {y_hi}")
-    params, table, signs, kernel = _build_pipeline(cfg)
+    table, _, kernel = _build_pipeline(cfg)
     ys = np.exp(np.linspace(math.log(y_lo), math.log(y_hi), npoints))
     rows = [(float(y), kernel.S(float(y)), kernel.S_star(float(y)),
              kernel.S_tilde(float(y))) for y in ys]
-    path = os.path.join(cfg.outdir, "scan_s.csv")
-    # repr floats never need quoting; \r\n ends each line, as in RFC 4180
-    lines = ["y,S,S_star,S_tilde"] + [",".join(map(repr, row)) for row in rows]
-    with atomic_output(path) as fh:
-        fh.write("".join(line + "\r\n" for line in lines).encode())
 
     # best dyadic window [A/2, A] for int |S~| dy/y, capped at A <= U
-    lx = math.log(params.x)
+    lx = math.log(table.params.x)
     U = math.exp(math.sqrt(lx) * math.log(lx) ** 2)
     best_A, best_mass = None, -1.0
     for A in ys:
@@ -273,7 +270,12 @@ def cmd_scan_s(cfg: RunConfig, y_lo: float, y_hi: float, npoints: int) -> int:
             best_A, best_mass = A, mass
     payload = {"U": U, "best_A": best_A, "best_window_mass": best_mass,
                "npoints": npoints, "y_lo": y_lo, "y_hi": y_hi}
-    write_report(cfg.outdir, "scan_s.json", payload)
+    path = os.path.join(cfg.outdir, "scan_s.csv")
+    # repr floats never need quoting; \r\n ends each line, as in RFC 4180
+    lines = ["y,S,S_star,S_tilde"] + [",".join(map(repr, row)) for row in rows]
+    with atomic_output(path) as fh:
+        fh.write("".join(line + "\r\n" for line in lines).encode())
+        write_report(cfg.outdir, "scan_s.json", payload)
     print(f"csv: {path}")
     print(f"best dyadic window A = {best_A} (mass {best_mass}), U = {U:.6g}")
     return EXIT_PASS
@@ -329,9 +331,9 @@ def _suite_orthogonality(cfg):
 
 def _suite_trunc(cfg):
     # a few-prime schedule, small enough for the exhaustive checks
-    params, table, _, _ = _build_pipeline(RunConfig(
+    table, _, _ = _build_pipeline(RunConfig(
         L=math.e, x=30.0, B=30.0, Z=150.0, pminus_lo=10.0, pminus_hi=20.0))
-    rep = analytic.verify_rankin_truncations(table, params)
+    rep = analytic.verify_rankin_truncations(table)
     for name, gap, bound in (
             ("Rankin identity", rep.identity_gap, 1e-10),
             ("square_gap_flat", rep.square_gap_flat, 0.01),
@@ -346,7 +348,7 @@ def _suite_trunc(cfg):
 
 
 def _suite_factorization(cfg):
-    params, table, signs, kernel = _build_pipeline(cfg)
+    table, _, _ = _build_pipeline(cfg)
     rows = checks.factorization(
         (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
          1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j), table)
@@ -357,7 +359,7 @@ def _suite_factorization(cfg):
 
 
 def _suite_contour(cfg):
-    params, table, signs, kernel = _build_pipeline(cfg)
+    table, _, kernel = _build_pipeline(cfg)
     ys = (2.0, 5.0, 10.0)
     rows = checks.contour(ys, analytic.S_via_contour(ys, table), kernel)
     return {str(row.pop("y")): row for row in rows}
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
         if args.command == "afe":
             return cmd_afe(cfg, args.d)
     except (ConfigError, resonator.ParamsError, arith.InvalidDiscriminant,
-            charsums.EmptyFamilyError) as e:
+            charsums.EmptyFamilyError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except resonator.WorkEstimateError as e:

@@ -125,8 +125,8 @@ def mellin_phi(s):
     across the strip via integration by parts; s = 0 is the simple pole.
 
     The panel count is doubled until two successive composite rules agree
-    within _MELLIN_ACCURACY = 1e-10; the last difference is the error
-    certificate.
+    within _MELLIN_ACCURACY = 1e-10, else AccuracyError; the value alone is
+    returned, with no certificate.
     """
     sa = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(sa == 0):

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from reslab import analytic, arith, charsums, sieve, smoothing
-from reslab.resonator import CoefficientTable, ResonatorParams, WorkEstimateError
+from reslab.resonator import CoefficientTable, WorkEstimateError
 from reslab.sieve import DirichletPolynomial
 
 
-def numerator_exact_triple(params: ResonatorParams,
-                           table: CoefficientTable) -> float:
+def numerator_exact_triple(table: CoefficientTable) -> float:
     """Tiny-instance oracle: the numerator as the support-outer triple sum
 
         sum_{l1, l2} r(l1) r(l2) sum_n phi(n/x)/sqrt(n)
@@ -22,7 +21,7 @@ def numerator_exact_triple(params: ResonatorParams,
     """
     if table.support is None:
         raise ValueError("support not enumerated")
-    D, x = params.D, params.x
+    D, x = table.params.D, table.params.x
     if D > 500 or len(table.support) > 16 or x > 50:
         raise WorkEstimateError("triple-sum oracle is for tiny instances only")
     lo, hi = int(D // 2) + 1, int(D)
@@ -56,8 +55,8 @@ class Sigma2BoundReport:
     C: float
 
 
-def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
-                       y_grid, kernel_S) -> Sigma2BoundReport:
+def sigma2_bound_check(table: CoefficientTable, y_grid,
+                       kernel_S) -> Sigma2BoundReport:
     """Both terms of the contour-shift bound for S(y):
 
         |S(y)| <= C * log(max(x, y)) * sup_{|s| = 1/log max(x,y)} |H|
@@ -66,6 +65,7 @@ def sigma2_bound_check(table: CoefficientTable, params: ResonatorParams,
     llD = log log D.  Fits the smallest C making the bound hold on the
     grid and reports it with the sups.
     """
+    params = table.params
     lld2 = math.log(math.log(params.D)) ** 2
     sigma_left = -1.0 / lld2
     th = np.linspace(0, 2 * math.pi, 257)

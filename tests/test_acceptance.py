@@ -44,15 +44,15 @@ class TestAcceptance:
         _report(f"PASS criterion 2: orthogonality rel err "
                 f"{worst[1e5]['gap']:.2e} @ 1e5, {worst[1e6]['gap']:.2e} @ 1e6")
 
-    def test_03_pigeonhole_exactness(self, small_params, small_table):
+    def test_03_pigeonhole_exactness(self, small_table):
         """min_d <= N/Den on every scan, and the d-outer numerator equals
         the l1 l2-outer triple-sum oracle to 1e-9 on a tiny instance."""
         kernel = charsums.PartialSumKernel(small_table)
         signs = resonator.assign_signs(small_table, kernel.S)
-        rep = charsums.pigeonhole_extract(small_params, small_table, signs,
-                                          kernel, workers=1)
+        rep = charsums.pigeonhole_extract(small_table, signs, kernel,
+                                          workers=1)
         assert rep.extremal_value <= rep.ratio + 1e-9 * abs(rep.ratio)
-        triple = oracles.numerator_exact_triple(small_params, small_table)
+        triple = oracles.numerator_exact_triple(small_table)
         assert abs(rep.N - triple) <= 1e-9
         _report(f"PASS criterion 3: pigeonhole holds "
                 f"({rep.extremal_value:.6f} <= {rep.ratio:.6f}); "
@@ -84,7 +84,7 @@ class TestAcceptance:
 
     def test_05_sigma2_identity(self, desk_params, desk_kernel):
         """Sigma_2 equals S(x) to 1e-12 relative."""
-        s2 = charsums.sigma2(desk_params, desk_kernel)
+        s2 = charsums.sigma2(desk_kernel)
         sx = desk_kernel.S(desk_params.x)
         assert s2 == pytest.approx(sx, rel=1e-12)
         _report(f"PASS criterion 5: Sigma_2 = S(x) = {s2!r}")

@@ -386,18 +386,17 @@ class TestContour:
         assert row["contour"] == pytest.approx(row["direct"], abs=1e-6)
 
     def test_shifted_contour_agrees(self, three_prime_table,
-                                    three_prime_params, three_prime_contour):
+                                    three_prime_contour):
         # the fixture holds S_via_contour at y = 2, 5, 10, in that order
         rows = checks.contour_shift((2.0, 5.0, 10.0), three_prime_contour,
-                                    three_prime_table, three_prime_params)
+                                    three_prime_table)
         assert [row["y"] for row in rows] == [2.0, 5.0, 10.0]
         assert rows[1]["contour"] == pytest.approx(1.5057442856798051,
                                                    abs=1e-6)
         assert rows[1]["shifted"] == pytest.approx(1.5057514842786266,
                                                    rel=1e-12)
 
-    def test_shift_reads_the_given_line(self, three_prime_table,
-                                        three_prime_params, monkeypatch):
+    def test_shift_reads_the_given_line(self, three_prime_table, monkeypatch):
         # F stubbed to 1 and an infinite bound: the call count is the point
         calls = []
 
@@ -411,51 +410,48 @@ class TestContour:
         monkeypatch.setattr(analytic, "F_factored_bounded", unit_f)
         monkeypatch.setattr(analytic, "S_via_contour", no_line)
         cv = analytic.ContourValue(np.zeros(3), np.full(3, np.inf))
-        rows = checks.contour_shift((2.0, 5.0, 10.0), cv, three_prime_table,
-                                    three_prime_params)
+        rows = checks.contour_shift((2.0, 5.0, 10.0), cv, three_prime_table)
         assert len(rows) == 3
         assert len(calls) == 2
 
-    def test_shift_off_by_one_fails(self, three_prime_table,
-                                    three_prime_params, monkeypatch):
+    def test_shift_off_by_one_fails(self, three_prime_table, monkeypatch):
         right = analytic.ContourValue(np.array([1.0, 2.0, 3.0]),
                                       np.full(3, 1e-3))
 
-        def off_by_one(ys, table, params):
+        def off_by_one(ys, table):
             zero = analytic.ContourValue(np.zeros(3), np.zeros(3))
             return analytic.ContourValue(right.value + 1.0, np.zeros(3)), zero
 
         monkeypatch.setattr(analytic, "shifted_contour", off_by_one)
         with pytest.raises(checks.CheckFailed) as err:
-            checks.contour_shift((2.0, 5.0, 10.0), right, three_prime_table,
-                                 three_prime_params)
+            checks.contour_shift((2.0, 5.0, 10.0), right, three_prime_table)
         assert str(err.value).startswith("y = ")
         assert [row["gap"] for row in err.value.rows] == [1.0, 1.0, 1.0]
 
 
 class TestRankin:
-    def test_small_table_report(self, small_table, small_params):
-        rep = analytic.verify_rankin_truncations(small_table, small_params)
+    def test_small_table_report(self, small_table):
+        rep = analytic.verify_rankin_truncations(small_table)
         assert rep.identity_gap < 1e-14
         assert 0.0 < rep.tail_lhs <= rep.tail_rhs
         assert rep.square_gap_flat < 1e-14
         assert rep.square_gap_weighted < 1e-14
 
-    def test_tail_bound_binds_midway(self, small_table, small_params):
+    def test_tail_bound_binds_midway(self, small_table):
         # the cut at sqrt(max n) leaves half of the n in the tail, which
         # is nonempty yet still bounded
-        rep = analytic.verify_rankin_truncations(small_table, small_params)
+        rep = analytic.verify_rankin_truncations(small_table)
         assert rep.tail_lhs > 0.0
         assert rep.tail_lhs <= rep.tail_rhs
 
-    def test_large_table_guarded(self, desk_table, desk_params):
+    def test_large_table_guarded(self, desk_table):
         with pytest.raises(smoothing.AccuracyError):
-            analytic.verify_rankin_truncations(desk_table, desk_params)
+            analytic.verify_rankin_truncations(desk_table)
 
     def test_unsigned_table_rejected(self, three_prime_params):
         bare = resonator.build_table(three_prime_params)
         with pytest.raises(resonator.ParamsError):
-            analytic.verify_rankin_truncations(bare, three_prime_params)
+            analytic.verify_rankin_truncations(bare)
 
 
 class TestResonance:
@@ -467,7 +463,7 @@ class TestResonance:
                                          + np.cos(2 * theta)))) <= 1e-15
 
     def test_desk_report_frozen(self, desk_table, desk_params):
-        rep = analytic.resonance_bound(desk_table, desk_params)
+        rep = analytic.resonance_bound(desk_table)
         assert rep.ratio > 1.0
         assert rep.ratio == pytest.approx(1.1452158096584435, rel=1e-10)
         assert rep.trig_min_observed >= analytic.TRIG_MIN
@@ -479,8 +475,8 @@ class TestResonance:
 class TestSigma2Bound:
     Y_GRID = (2.0, 5.0, 20.0, 50.0, 120.0, 200.0, 400.0)
 
-    def test_fit_then_freeze(self, desk_table, desk_params, desk_kernel):
-        fit = oracles.sigma2_bound_check(desk_table, desk_params,
-                                         self.Y_GRID, desk_kernel.S)
+    def test_fit_then_freeze(self, desk_table, desk_kernel):
+        fit = oracles.sigma2_bound_check(desk_table, self.Y_GRID,
+                                         desk_kernel.S)
         assert fit.C == pytest.approx(0.3041928708911808, rel=1e-10)
         assert fit.C <= 0.305

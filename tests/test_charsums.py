@@ -141,17 +141,16 @@ class TestKernel:
 
 class TestSigmas:
     def test_sigma2_is_S_at_x(self, small_params, small_kernel):
-        assert charsums.sigma2(small_params, small_kernel) == \
-            small_kernel.S(small_params.x)
+        assert charsums.sigma2(small_kernel) == small_kernel.S(small_params.x)
 
-    def test_sigma2_dual_route(self, small_params, small_table, small_kernel):
-        fast = charsums.sigma2(small_params, small_kernel)
-        slow = charsums.sigma2_display(small_params, small_table)
+    def test_sigma2_dual_route(self, small_table, small_kernel):
+        fast = charsums.sigma2(small_kernel)
+        slow = charsums.sigma2_display(small_table)
         assert fast == pytest.approx(slow, rel=1e-12)
 
-    def test_sigma2_dual_route_desk(self, desk_params, desk_table, desk_kernel):
-        fast = charsums.sigma2(desk_params, desk_kernel)
-        slow = charsums.sigma2_display(desk_params, desk_table)
+    def test_sigma2_dual_route_desk(self, desk_table, desk_kernel):
+        fast = charsums.sigma2(desk_kernel)
+        slow = charsums.sigma2_display(desk_table)
         assert fast == pytest.approx(2.7891790342039684, rel=1e-12)
         assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -208,34 +207,33 @@ class TestFamilyScan:
             numer.append(w * t)
             if w > 0:
                 best = min(best, (t, d))
-        scan = charsums.scan_family(small_params, small_table, workers=1)
+        scan = charsums.scan_family(small_table, workers=1)
         assert scan.denom == pytest.approx(math.fsum(denom), rel=1e-13)
         assert scan.numer == pytest.approx(math.fsum(numer), rel=1e-13)
         assert scan.min_d == best[1]
         assert scan.min_value == pytest.approx(best[0], rel=1e-13)
         assert scan.admissible == len(denom)
 
-    def test_triple_sum_oracle(self, small_params, small_table):
-        numer = charsums.scan_family(small_params, small_table,
-                                     workers=1).numer
-        triple = oracles.numerator_exact_triple(small_params, small_table)
+    def test_triple_sum_oracle(self, small_table):
+        numer = charsums.scan_family(small_table, workers=1).numer
+        triple = oracles.numerator_exact_triple(small_table)
         assert numer == pytest.approx(triple, abs=1e-9)
         assert triple == pytest.approx(65.88514883761619, rel=1e-13)
 
-    def test_triple_sum_guarded(self, desk_params, desk_table):
-        with pytest.raises(charsums.WorkEstimateError):
-            oracles.numerator_exact_triple(desk_params, desk_table)
+    def test_triple_sum_guarded(self, desk_table):
+        with pytest.raises(resonator.WorkEstimateError):
+            oracles.numerator_exact_triple(desk_table)
 
-    def test_chunking_invariant(self, small_params, small_table):
-        one = charsums.scan_family(small_params, small_table, workers=1)
+    def test_chunking_invariant(self, small_table):
+        one = charsums.scan_family(small_table, workers=1)
         with mock.patch.object(charsums, "_CHUNK", 16):
-            many = charsums.scan_family(small_params, small_table, workers=1)
+            many = charsums.scan_family(small_table, workers=1)
         assert one == dataclasses.replace(many, chunk_count=one.chunk_count)
 
-    def test_worker_count_invariant(self, small_params, small_table):
+    def test_worker_count_invariant(self, small_table):
         with mock.patch.object(charsums, "_CHUNK", 16):
-            one = charsums.scan_family(small_params, small_table, workers=1)
-            two = charsums.scan_family(small_params, small_table, workers=2)
+            one = charsums.scan_family(small_table, workers=1)
+            two = charsums.scan_family(small_table, workers=2)
         assert one == two
 
     @settings(max_examples=30, deadline=None)
@@ -243,10 +241,10 @@ class TestFamilyScan:
     def test_sink_rows_match_per_d_routes(self, small_params, small_table,
                                           D, chunk_size):
         params = dataclasses.replace(small_params, D=D)
+        table = dataclasses.replace(small_table, params=params)
         out = io.BytesIO()
         with mock.patch.object(charsums, "_CHUNK", chunk_size):
-            scan = charsums.scan_family(params, small_table, workers=1,
-                                        rows=out)
+            scan = charsums.scan_family(table, workers=1, rows=out)
         rows = _parse_csv_lines(out.getvalue())
         admissible = [d for d in range(D // 2 + 1, D + 1)
                       if d % 2 == 1 and arith.is_squarefree(d)]
@@ -258,14 +256,14 @@ class TestFamilyScan:
                                       rel=1e-12)
         # the text is exact: every field reads back as the scan's float,
         # bit for bit, so no rounding format can pass
-        state = charsums._scan_state(params, small_table)
+        state = charsums._scan_state(table)
         d, w, t = charsums._chunk_arrays(D // 2 + 1, D, state)
         assert [r[0] for r in rows] == d.tolist()
         for col, arr in ((1, t), (2, w)):
             parsed = np.array([r[col] for r in rows], dtype=float)
             assert np.array_equal(parsed.view(np.uint64), arr.view(np.uint64))
         with mock.patch.object(charsums, "_CHUNK", D):
-            whole = charsums.scan_family(params, small_table, workers=1)
+            whole = charsums.scan_family(table, workers=1)
         assert whole.chunk_count == 1
         assert scan == dataclasses.replace(whole,
                                            chunk_count=scan.chunk_count)
@@ -279,8 +277,7 @@ class TestFamilyScan:
         def scan(workers, chunk):
             rows = io.BytesIO()
             with mock.patch.object(charsums, "_CHUNK", chunk):
-                out = charsums.scan_family(small_params, small_table,
-                                           workers, rows=rows)
+                out = charsums.scan_family(small_table, workers, rows=rows)
             return out, rows.getvalue()
 
         one, one_bytes = scan(1, int(small_params.D))
@@ -293,7 +290,7 @@ class TestFamilyScan:
         # the chunk width bounds one chunk's working set; 2^17 traced
         # 12.9 MiB
         width = charsums._CHUNK
-        state = charsums._scan_state(desk_params, desk_table)
+        state = charsums._scan_state(desk_table)
         lo = int(desk_params.D // 2) + 1
         bounds = (lo, lo + width - 1)
         part = str(tmp_path / "part.csv")
@@ -310,7 +307,7 @@ class TestFamilyScan:
         # a chunk's rows stay in its part file: what goes back through the
         # pool is the summary alone, while the rows of this chunk are about
         # 600 KB of CSV
-        state = charsums._scan_state(desk_params, desk_table)
+        state = charsums._scan_state(desk_table)
         lo = int(desk_params.D // 2) + 1
         part = tmp_path / "part.csv"
         summary = charsums._scan_chunk((lo, lo + charsums._CHUNK - 1), state,
@@ -319,13 +316,13 @@ class TestFamilyScan:
         assert len(pickle.dumps(summary)) < 1024
 
     def test_default_chunk_matches_wide_chunk(self, desk_params, desk_table):
-        params = dataclasses.replace(desk_params, D=300000)
+        table = dataclasses.replace(
+            desk_table, params=dataclasses.replace(desk_params, D=300000))
 
         def scan(chunk):
             rows = io.BytesIO()
             with mock.patch.object(charsums, "_CHUNK", chunk):
-                out = charsums.scan_family(params, desk_table, workers=1,
-                                           rows=rows)
+                out = charsums.scan_family(table, workers=1, rows=rows)
             return out, rows.getvalue()
 
         narrow, narrow_bytes = scan(charsums._CHUNK)
@@ -337,18 +334,21 @@ class TestFamilyScan:
 
     def test_work_guards(self, small_params, small_table):
         huge = dataclasses.replace(small_params, D=charsums.MAX_D_EXACT + 1)
-        with pytest.raises(charsums.WorkEstimateError):
-            charsums.scan_family(huge, small_table, workers=1)
+        with pytest.raises(resonator.WorkEstimateError):
+            charsums.scan_family(
+                dataclasses.replace(small_table, params=huge), workers=1)
         new_x = charsums.MAX_X + 1.0
         wide = dataclasses.replace(small_params, x=new_x, B=new_x,
                                    Y=math.sqrt(small_params.Z / new_x))
-        with pytest.raises(charsums.WorkEstimateError):
-            charsums.scan_family(wide, small_table, workers=1)
+        with pytest.raises(resonator.WorkEstimateError):
+            charsums.scan_family(
+                dataclasses.replace(small_table, params=wide), workers=1)
 
     def test_empty_family(self, small_params, small_table):
         empty = dataclasses.replace(small_params, D=0)
         with pytest.raises(charsums.EmptyFamilyError):
-            charsums.scan_family(empty, small_table, workers=1)
+            charsums.scan_family(
+                dataclasses.replace(small_table, params=empty), workers=1)
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv("RESLAB_WORKERS", "3")
@@ -368,8 +368,7 @@ class TestFamilyScan:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert charsums.default_workers() == 64
 
-    def test_pool_capped_by_chunks(self, small_params, small_table,
-                                   monkeypatch):
+    def test_pool_capped_by_chunks(self, small_table, monkeypatch):
         # a fork pool starts all its workers at the first submit, so a
         # family of three chunks gets three however many are asked for; the
         # stand-in runs the chunks here and starts no process
@@ -390,8 +389,7 @@ class TestFamilyScan:
         def scan(workers):
             rows = io.BytesIO()
             with mock.patch.object(charsums, "_CHUNK", 40):
-                out = charsums.scan_family(small_params, small_table,
-                                           workers, rows=rows)
+                out = charsums.scan_family(small_table, workers, rows=rows)
             return out, rows.getvalue()
 
         one = scan(1)
@@ -404,10 +402,9 @@ class TestFamilyScan:
 
 
 class TestRatioPipeline:
-    def test_small_report(self, small_params, small_table, small_signs,
-                          small_kernel):
-        rep = charsums.pigeonhole_extract(small_params, small_table,
-                                          small_signs, small_kernel, workers=1)
+    def test_small_report(self, small_table, small_signs, small_kernel):
+        rep = charsums.pigeonhole_extract(small_table, small_signs,
+                                          small_kernel, workers=1)
         assert rep.extremal_value <= rep.ratio + 1e-12
         assert rep.N == pytest.approx(65.88514883761619, rel=1e-13)
         assert rep.den_exact == pytest.approx(40.60834824400651, rel=1e-13)
@@ -425,19 +422,18 @@ class TestRatioPipeline:
         S = charsums.PartialSumKernel.S
         monkeypatch.setattr(charsums.PartialSumKernel, "S",
                             lambda self, y: calls.append(y) or S(self, y))
-        rep = charsums.pigeonhole_extract(small_params, small_table,
-                                          small_signs, small_kernel, workers=1)
+        rep = charsums.pigeonhole_extract(small_table, small_signs,
+                                          small_kernel, workers=1)
         assert calls == [small_params.x]
         assert rep.sigma1 == charsums.sigma1(small_params, small_signs)
         assert rep.den_asymptotic == charsums.denominator_asymptotic(
-            small_params, small_table)
+            small_table)
         assert rep.support_size == len(small_table.support)
         assert rep.pigeonhole_holds is True
 
-    def test_desk_report(self, desk_params, desk_table, desk_signs,
-                         desk_kernel):
-        rep = charsums.pigeonhole_extract(desk_params, desk_table, desk_signs,
-                                          desk_kernel, workers=2)
+    def test_desk_report(self, desk_table, desk_signs, desk_kernel):
+        rep = charsums.pigeonhole_extract(desk_table, desk_signs, desk_kernel,
+                                          workers=2)
         assert rep.den_exact == pytest.approx(215071.31383520033, rel=1e-13)
         assert rep.N == pytest.approx(343369.3786818204, rel=1e-13)
         assert rep.ratio == pytest.approx(1.5965373185237024, rel=1e-13)
@@ -448,12 +444,11 @@ class TestRatioPipeline:
         assert rep.extremal_value <= rep.ratio
         assert rep.admissible == 202646
 
-    def test_denominator_asymptotic(self, small_params, small_table):
-        dasym = charsums.denominator_asymptotic(small_params, small_table)
+    def test_denominator_asymptotic(self, small_table):
+        dasym = charsums.denominator_asymptotic(small_table)
         assert dasym == pytest.approx(41.4350274476477, rel=1e-13)
         # at D = 200 the exact sum sits within a few percent of the model
-        dex = charsums.scan_family(small_params, small_table,
-                                   workers=1).denom
+        dex = charsums.scan_family(small_table, workers=1).denom
         assert abs(dex - dasym) / dasym < 0.05
 
 
@@ -570,12 +565,12 @@ class TestCentralValue:
         assert chi.tolist() == [arith.kronecker(8 * d, int(r)) for r in a]
 
     def test_oracle_work_guard(self):
-        with pytest.raises(charsums.WorkEstimateError):
+        with pytest.raises(resonator.WorkEstimateError):
             charsums.dirichlet_l_half(charsums.MAX_D_EXACT + 1)
 
     def test_afe_work_guard(self):
         # raised before the O(sqrt(d) log d) character table is allocated;
         # at d = 10^12 + 39 that table would take 641 MiB per int64 array
         for d in (charsums.MAX_D_EXACT + 1, 1_000_000_000_039):
-            with pytest.raises(charsums.WorkEstimateError):
+            with pytest.raises(resonator.WorkEstimateError):
                 charsums.afe_central_value(d)

@@ -226,11 +226,25 @@ def _outdir_through_file(tmp_path):
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("args, report", [
+        (["ratio"], "ratio_report.json"),
+        (["scan-s", "--npoints", "8"], "scan_s.json"),
+    ], ids=["ratio", "scan_s"])
+    def test_failed_report_leaves_no_new_output(self, args, report,
+                                                small_cfg_path, tmp_path):
+        # the report is written inside its CSV's block: when the report
+        # cannot be written, neither the CSV nor a temp file is left
+        outdir = tmp_path / "out"
+        (outdir / report).mkdir(parents=True)
+        assert cli.main(["--config", small_cfg_path, *args]) == cli.EXIT_CONFIG
+        assert os.listdir(outdir) == [report]
+
     @pytest.mark.parametrize("case", ["workers_not_int", "empty_family",
                                       "x_nan", "B_nan", "Z_nan", "Z_inf",
                                       "Z_neg", "Z_zero", "L_neg", "B_8",
                                       "outdir_not_dir", "outdir_empty",
-                                      "not_utf8", "seed_negative"])
+                                      "not_utf8", "seed_negative",
+                                      "report_path_taken"])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         cfg = small_cfg_path
         workers = "1"
@@ -244,6 +258,9 @@ class TestErrorPaths:
             cfg = str(empty)
         elif case == "outdir_not_dir":
             cfg = _outdir_through_file(tmp_path)
+        elif case == "report_path_taken":
+            # a directory stands where ratio_report.json would go
+            os.makedirs(tmp_path / "out" / "ratio_report.json")
         elif case in ("outdir_empty", "not_utf8", "seed_negative"):
             bad = tmp_path / "bad.cfg"
             if case == "outdir_empty":

@@ -3,13 +3,21 @@ module's private names: every `<module>._name` attribute access and every
 `from <module> import _name` must stay inside the module that defines the
 name.  Tests are exempt.
 
-The same walk guards the entry points of the demos and of the benchmark in
-perfbench/: every reslab name they take must exist, and so must every
-method and span the benchmark's child process wraps by name, so deleting a
-public name they use fails here, before the benchmark runs."""
+The same walk checks that each name is reached one way: no package module,
+demo, test or benchmark file takes `<module>.<name>` where the name is
+another reslab module, or a class or function defined in another one, such
+as `charsums.arith` or `charsums.WorkEstimateError`; each is taken from its
+home module.  It also guards the entry points of the demos and of the
+benchmark in perfbench/: every reslab name they take must exist, and so
+must every method and span the benchmark's child process wraps by name, so
+deleting a public name they use fails here, before the benchmark runs.
+
+Last, no public function of the package takes the schedule `params` beside
+a `table` or a `kernel`, which already carries it as `.params`."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -22,6 +30,7 @@ MODULES = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 FILES = sorted(PKG.glob("*.py")) + DEMOS
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -82,6 +91,49 @@ def private_reaches(path: pathlib.Path) -> list[str]:
             if _private(name) and mod != own]
 
 
+def _home(obj) -> str | None:
+    """The module that defines obj, for a module, a class or a function."""
+    if inspect.ismodule(obj):
+        return obj.__name__
+    if inspect.isclass(obj) or inspect.isroutine(obj):
+        return getattr(obj, "__module__", None)
+    return None
+
+
+def foreign_reaches(path: pathlib.Path) -> list[str]:
+    """Each `<module>.<name>` that `path` takes where the name is another
+    reslab module, or a class or function defined in another one."""
+    out = []
+    for mod, name in reslab_refs(path):
+        if mod == "reslab":
+            continue
+        home = _home(getattr(importlib.import_module(f"reslab.{mod}"), name,
+                             None))
+        if (home or "").startswith("reslab.") and home != f"reslab.{mod}":
+            out.append(f"{mod}.{name}")
+    return out
+
+
+def params_beside_table() -> list[str]:
+    """Each public function or method of a package module that takes a
+    `params` parameter together with a `table` or a `kernel`."""
+    out = []
+    for stem in sorted(MODULES):
+        mod = importlib.import_module(f"reslab.{stem}")
+        for name, obj in vars(mod).items():
+            if _private(name) or _home(obj) != mod.__name__:
+                continue
+            fns = [(name, obj)]
+            if inspect.isclass(obj):
+                fns = [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                       if inspect.isfunction(f) and not _private(m)]
+            for dotted, fn in fns:
+                args = inspect.signature(fn).parameters
+                if "params" in args and ("table" in args or "kernel" in args):
+                    out.append(f"{stem}.{dotted}")
+    return out
+
+
 def _resolve(dotted: str):
     """The object a dotted name under reslab names, such as "cli",
     "charsums.scan_family" or "resonator.CoefficientTable.with_support";
@@ -125,6 +177,34 @@ def _bench_tables() -> dict:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_access_across_modules(path):
     assert private_reaches(path) == []
+
+
+@pytest.mark.parametrize("path", FILES + TESTS + BENCH,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_each_name_reached_one_way(path):
+    assert foreign_reaches(path) == []
+
+
+def test_one_way_detector_flags_reaches(tmp_path):
+    demo = tmp_path / "probe.py"
+    demo.write_text(
+        "import reslab\n"
+        "from reslab import charsums, sieve as sv\n"
+        "from reslab.sieve import AccuracyError\n"
+        "from reslab.resonator import WorkEstimateError\n"
+        "charsums.arith.is_squarefree(3)\n"
+        "charsums.WorkEstimateError\n"
+        "sv.smoothing.psi\n"
+        "charsums.tempfile\n"
+        "charsums.MAX_X\n"
+        "reslab.charsums.scan_family\n")
+    assert sorted(foreign_reaches(demo)) == [
+        "charsums.WorkEstimateError", "charsums.arith", "sieve.AccuracyError",
+        "sieve.smoothing"]
+
+
+def test_no_params_beside_table():
+    assert params_beside_table() == []
 
 
 def test_detector_flags_reaches(tmp_path):

@@ -64,7 +64,7 @@ class TestLhsIntegral:
     def test_refuses_beyond_node_count_bound(self):
         # alpha log(n_max/n_min) = 100 log 5000 is past what 64 nodes cover
         P = sieve.DirichletPolynomial.from_pairs([(2, 1.0), (10_000, 1.0)])
-        with pytest.raises(sieve.AccuracyError):
+        with pytest.raises(smoothing.AccuracyError):
             sieve.lhs_integral(P, 100.0)
 
     def test_rejects_nonpositive_alpha(self):
@@ -83,7 +83,7 @@ class TestLhsIntegral:
 
         monkeypatch.setattr(smoothing, "gauss_panels", nan_weights)
         P = sieve.DirichletPolynomial.from_pairs([(2, 1.0), (3, 0.5j)])
-        with pytest.raises(sieve.AccuracyError, match="lhs routes disagree"):
+        with pytest.raises(smoothing.AccuracyError, match="lhs routes disagree"):
             sieve.lhs_integral(P, 0.02)
 
 
@@ -144,7 +144,7 @@ class TestRhsIntegral:
             P = sieve.DirichletPolynomial.from_pairs([(11, 2.0)])
             got = sieve.rhs_integral(P, sigma)
             want, _ = quad(
-                lambda u: float(sieve.smoothing.psi(u)) ** 2
+                lambda u: float(smoothing.psi(u)) ** 2
                 * u ** (2 * sigma) / u, 1.0, 4.0, epsabs=1e-13, limit=200)
             assert got == pytest.approx(4.0 * want, rel=1e-9)
 
@@ -176,7 +176,7 @@ class TestTestFunctionFamily:
             for u in (-0.3, -0.9, -1.2):
                 x = math.exp(-u)
                 assert sieve.f_sigma(u, sigma) == pytest.approx(
-                    float(sieve.smoothing.psi(x)) * x**sigma, rel=1e-13)
+                    float(smoothing.psi(x)) * x**sigma, rel=1e-13)
 
     def test_fhat_vs_quadrature_oracle(self):
         for sigma in (0.0, 0.25, -0.45):
@@ -231,7 +231,7 @@ class TestAdmissibleAlpha:
                             lambda xi, sigma: np.full(np.shape(xi), math.nan))
         sieve.admissible_alpha.cache_clear()
         try:
-            with pytest.raises(sieve.AccuracyError, match="nan"):
+            with pytest.raises(smoothing.AccuracyError, match="nan"):
                 sieve.admissible_alpha()
         finally:
             sieve.admissible_alpha.cache_clear()
