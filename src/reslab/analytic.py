@@ -9,8 +9,8 @@ with G a tame product (band factors times generic odd-prime factors) whose
 logarithm stays bounded to the right of Re(s) = -1/4.  This module carries
 both routes to F — the truncated double sum F_direct and the factored
 product F_factored_bounded — plus the inverse-Mellin contour evaluation of
-S(y) on the right line and on the line shifted past the pole, the
-Rankin-style truncation checks, and the resonance-gain report.
+S(y) on the right line and on the line shifted past the pole, and the
+resonance-gain report.
 
 F_factored_bounded is the one evaluator of zeta(2s+1) G(s) H(s): it takes a
 scalar or an array of s, builds zeta as hurwitz_em(2s+1, 1) and H from
@@ -383,68 +383,6 @@ def shifted_contour(ys, table: CoefficientTable
     line_cert = (math.exp(g_acc) - 1.0) * abs_int / math.pi
     return (ContourValue(np.array(circ), np.full(len(ys), circ_cert)),
             ContourValue(re_int / math.pi, line_cert))
-
-
-# --------------------------------------------------------------------------
-# Rankin-style truncation checks
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RankinReport:
-    identity_gap: float
-    tail_lhs: float
-    tail_rhs: float
-    square_gap_flat: float
-    square_gap_weighted: float
-
-
-def verify_rankin_truncations(table: CoefficientTable) -> RankinReport:
-    """Three finite checks on the resonator coefficient mass.
-
-    (i)  sum over all band-smooth squarefree n of |r(n)| d(n)/sqrt(n)
-         equals prod_p (1 + 2|r(p)|/sqrt(p)) exactly;
-    (ii) the tail beyond M1 = sqrt(max n), which holds half of the n, obeys
-         the Rankin bound M1^{-alpha} prod_p (1 + 2|r(p)| p^{alpha - 1/2}),
-         alpha = 1/(log log D)^2;
-    (iii) sum over all of them of r(n)^2 g(n) equals prod(1 + r(p)^2 g(p))
-         for g = 1 and g(p) = p/(p+1).
-
-    Enumerates every smooth integer, by resonator.band_products, so the
-    table must be small.
-    """
-    primes = sorted(set(table.pminus) | set(table.pplus))
-    if len(primes) > 20:
-        raise AccuracyError(f"{len(primes)} primes; exhaustive check capped at 20")
-    for p in table.pplus:
-        if p not in table.r_at_prime:
-            raise resonator.ParamsError("assign signs before the Rankin checks")
-    rvals = {p: table.r(p) for p in primes}
-    items = list(resonator.band_products(list(rvals.items()), math.inf))
-    # n is squarefree, so d(n) = 2^(number of its primes)
-    mass = [(n, abs(v) * 2 ** len(ps) / math.sqrt(n)) for n, v, ps in items]
-    lhs = math.fsum(m for _, m in mass)
-    prod = 1.0
-    for p in primes:
-        prod *= 1.0 + 2.0 * abs(rvals[p]) / math.sqrt(p)
-    identity_gap = abs(lhs - prod) / prod
-
-    M1 = math.sqrt(max(n for n, _, _ in items))
-    alpha = 1.0 / math.log(math.log(table.params.D)) ** 2
-    tail_lhs = math.fsum(m for n, m in mass if n > M1)
-    rank = 1.0
-    for p in primes:
-        rank *= 1.0 + 2.0 * abs(rvals[p]) * p ** (alpha - 0.5)
-    tail_rhs = M1 ** -alpha * rank
-
-    gaps = []
-    for g in (lambda p: 1.0, lambda p: p / (p + 1.0)):
-        ssum = math.fsum(v * v * math.prod(g(q) for q in ps)
-                         for _, v, ps in items)
-        sprod = 1.0
-        for p in primes:
-            sprod *= 1.0 + rvals[p] ** 2 * g(p)
-        gaps.append(abs(ssum - sprod) / sprod)
-    return RankinReport(identity_gap, tail_lhs, tail_rhs, gaps[0], gaps[1])
 
 
 # --------------------------------------------------------------------------

@@ -1,23 +1,30 @@
-"""The two-route cross-checks, one definition each.
+"""Every check of the package, one definition each; no other module
+decides one or raises CheckFailed, and each bound is a constant here.
 
 Each check runs both routes at every point its caller passes and returns a
 row per point: the point, the routes' values, their ``gap``, the ``bound``
 the gap must keep and ``margin = gap / bound``.  A check raises CheckFailed,
 naming the worst point, its gap and its bound, unless every gap <= bound;
-a NaN gap fails.  The routes are called as module attributes, so a wrapper
-or a stub put on ``analytic.F_direct`` is what a check calls.
+a NaN gap fails.  Kronecker multiplicativity is exact and has no rows.  The
+routes are called as module attributes, so a wrapper or a stub put on
+``analytic.F_direct`` is what a check calls.
 """
 
 import math
+import random
 
 import numpy as np
 
-from . import analytic, charsums
+from . import analytic, arith, charsums, resonator, sieve
+from .smoothing import AccuracyError
 
 AFE_GAP = 1e-6     # |AFE - oracle|
 TRIG_GAP = 1e-12   # |(2 cos t + 1) cos t - TRIG_MIN| at the minimum and ends
 ORTHO_GAP = 0.02   # |exact - main| / main of the family sum of chi_8d(n)
 SHIFT_SLACK = 1e-6  # added to the certificates of the shifted contour
+RANKIN_GAP = 1e-14  # relative gap of each Rankin mass and square identity
+SIEVE_SLACK = 1e-9  # relative slack on Gallagher's C * rhs
+KRONECKER_TRIALS = 2000  # random (m, n1, n2) of the multiplicativity check
 
 
 class CheckFailed(AssertionError):
@@ -120,3 +127,70 @@ def trig_minimum(npoints: int) -> list[dict]:
         rows.append({"theta": float(theta[i]), "value": value,
                      "gap": abs(value - analytic.TRIG_MIN), "bound": TRIG_GAP})
     return _verdict(rows, "theta")
+
+
+def rankin(table) -> list[dict]:
+    """Over every band-smooth squarefree n (resonator.band_products), each
+    within RANKIN_GAP relative: "mass", sum |r(n)| d(n)/sqrt(n) = prod_p
+    (1 + 2|r(p)|/sqrt(p)), and "square_flat" and "square_weighted", sum
+    r(n)^2 g(n) = prod_p (1 + r(p)^2 g(p)) for g = 1 and g(p) = p/(p+1);
+    then "tail", the mass beyond M1 = sqrt(max n), nonempty and within the
+    Rankin bound M1^-alpha prod_p (1 + 2|r(p)| p^(alpha - 1/2)), alpha =
+    1/(log log D)^2.  The table must be signed, with at most 20 primes."""
+    primes = sorted(set(table.pminus) | set(table.pplus))
+    if len(primes) > 20:
+        raise AccuracyError(f"{len(primes)} primes; exhaustive check capped at 20")
+    if any(p not in table.r_at_prime for p in table.pplus):
+        raise resonator.ParamsError("assign signs before the Rankin checks")
+    band = [(p, table.r(p)) for p in primes]
+    items = list(resonator.band_products(band, math.inf))
+    # n is squarefree, so d(n) = 2^(number of its primes)
+    mass = [abs(v) * 2 ** len(ps) / math.sqrt(n) for n, v, ps in items]
+    rows = []
+    for name, terms, factors in (
+            ("mass", mass, [1.0 + 2.0 * abs(r) / math.sqrt(p) for p, r in band]),
+            ("square_flat", [v * v for _, v, _ in items],
+             [1.0 + r ** 2 for _, r in band]),
+            ("square_weighted",
+             [v * v * math.prod(q / (q + 1.0) for q in ps) for _, v, ps in items],
+             [1.0 + r ** 2 * (p / (p + 1.0)) for p, r in band])):
+        total, product = math.fsum(terms), math.prod(factors)
+        rows.append({"identity": name, "sum": total, "product": product,
+                     "gap": abs(total - product) / product, "bound": RANKIN_GAP})
+    M1 = math.sqrt(max(n for n, _, _ in items))
+    alpha = 1.0 / math.log(math.log(table.params.D)) ** 2
+    tail = math.fsum(m for (n, _, _), m in zip(items, mass) if n > M1)
+    rank = math.prod(1.0 + 2.0 * abs(r) * p ** (alpha - 0.5) for p, r in band)
+    rows.append({"identity": "tail", "gap": tail, "bound": M1 ** -alpha * rank})
+    _verdict(rows, "identity")
+    if not tail > 0.0:
+        raise CheckFailed(f"identity = tail: empty beyond M1 = {M1}, so its "
+                          "Rankin bound is vacuous", rows)
+    return rows
+
+
+def gallagher(trials: int, seed: int, sigma: float) -> sieve.SieveReport:
+    """Gallagher's sieve inequality lhs <= C * rhs on sieve's seeded random
+    Dirichlet polynomials, a row per trial, each lhs within C * rhs * (1 +
+    SIEVE_SLACK); returns sieve.sieve_inequality_check's report."""
+    report = sieve.sieve_inequality_check(trials, seed, sigma)
+    _verdict([{"trial": i, "gap": lhs, "bound": bound * (1.0 + SIEVE_SLACK)}
+              for i, (lhs, bound) in enumerate(report.sides)], "trial")
+    return report
+
+
+def kronecker_multiplicativity(seed: int) -> int:
+    """kronecker(m, n1 n2) = kronecker(m, n1) kronecker(m, n2), exactly, on
+    KRONECKER_TRIALS draws of |m| <= 10^6 and odd n1, n2 < 2 * 10^4 from
+    random.Random(seed); returns the number of trials."""
+    rng = random.Random(seed)
+    for _ in range(KRONECKER_TRIALS):
+        m = rng.randrange(-10**6, 10**6)
+        n1 = rng.randrange(1, 10**4) * 2 + 1
+        n2 = rng.randrange(1, 10**4) * 2 + 1
+        whole = arith.kronecker(m, n1 * n2)
+        split = arith.kronecker(m, n1) * arith.kronecker(m, n2)
+        if whole != split:
+            raise CheckFailed(f"m = {m}, n = {n1} * {n2}: "
+                              f"kronecker(m, n) = {whole} != {split}")
+    return KRONECKER_TRIALS

@@ -6,21 +6,22 @@ JSON.  Every file is written through atomic_output (temp file + rename),
 so a failed run leaves no file half written; a command's report is written
 inside its CSV's block, so a failed report leaves no new CSV either.
 
-Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate
-abort.  A failed check is a checks.CheckFailed, raised by an explicit
-test, not an ``assert``, so ``python -O`` keeps it.  Config errors
-include a config file that cannot be read or is not UTF-8, a negative
-seed, a schedule value (D, a, L, x, B, Z or a band edge) that is NaN or
-infinite, a band that admits the prime 2 (pminus_lo <= 2 or B/4 <= 2), a
-RESLAB_WORKERS that is not a positive integer, an ``afe --d`` up to
-charsums.MAX_D_EXACT that is not odd and squarefree, a ``ratio`` whose
-family holds no admissible d (charsums.EmptyFamilyError), a ``scan-s``
-whose npoints is below 1 or whose y_lo, y_hi are not finite with
-0 < y_lo < y_hi, an outdir that is empty or cannot be a directory
+Exit codes: 0 pass, 1 failed check, 2 config error, 3 work-estimate abort.
+The ``verify`` suites only call reslab.checks, which alone decides a
+check: a failed check is a checks.CheckFailed, raised by an explicit test,
+not an ``assert``, so ``python -O`` keeps it.  Config errors include a
+config file that cannot be read or is not UTF-8, a negative seed, a
+schedule value (D, a, L, x, B, Z or a band edge) that is NaN, infinite or
+past the float range, or whose derivation (Z = x^1.5, a band edge
+L^(5 pi/3)) overflows a float, a band that admits the prime 2 (pminus_lo
+<= 2 or B/4 <= 2), a RESLAB_WORKERS that is not a positive integer, an
+``afe --d`` up to charsums.MAX_D_EXACT that is not odd and squarefree, a
+``ratio`` whose family holds no admissible d (charsums.EmptyFamilyError),
+a ``scan-s`` whose npoints is below 1 or whose y_lo, y_hi are not finite
+with 0 < y_lo < y_hi, an outdir that is empty or cannot be a directory
 because a file stands on its path, and an output path that cannot be
 written; a command that writes checks its outdir before any work, but
-creates it only when it writes.
-Work-estimate aborts are one class,
+creates it only when it writes.  Work-estimate aborts are one class,
 resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
 resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
 past the scan's guards on D, support size and x, a schedule whose support
@@ -58,7 +59,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import __version__, analytic, arith, charsums, checks, resonator, sieve, smoothing
+from . import __version__, analytic, arith, charsums, checks, resonator, smoothing
 
 EXIT_PASS = 0
 EXIT_ASSERT = 1
@@ -302,18 +303,8 @@ def cmd_afe(cfg: RunConfig, dvals: list[int]) -> int:
 # --------------------------------------------------------------------------
 
 def _suite_arith(cfg):
-    import random
-    rng = random.Random(cfg.seed)
-    for _ in range(2000):
-        m = rng.randrange(-10**6, 10**6)
-        n1 = rng.randrange(1, 10**4) * 2 + 1
-        n2 = rng.randrange(1, 10**4) * 2 + 1
-        whole = arith.kronecker(m, n1 * n2)
-        split = arith.kronecker(m, n1) * arith.kronecker(m, n2)
-        if whole != split:
-            raise checks.CheckFailed(f"m = {m}, n = {n1} * {n2}: "
-                                     f"kronecker(m, n) = {whole} != {split}")
-    return {"multiplicativity_trials": 2000}
+    trials = checks.kronecker_multiplicativity(cfg.seed)
+    return {"multiplicativity_trials": trials}
 
 
 def _suite_trig(cfg):
@@ -333,18 +324,7 @@ def _suite_trunc(cfg):
     # a few-prime schedule, small enough for the exhaustive checks
     table, _, _ = _build_pipeline(RunConfig(
         L=math.e, x=30.0, B=30.0, Z=150.0, pminus_lo=10.0, pminus_hi=20.0))
-    rep = analytic.verify_rankin_truncations(table)
-    for name, gap, bound in (
-            ("Rankin identity", rep.identity_gap, 1e-10),
-            ("square_gap_flat", rep.square_gap_flat, 0.01),
-            ("square_gap_weighted", rep.square_gap_weighted, 0.01)):
-        if not gap < bound:
-            raise checks.CheckFailed(f"{name}: gap {gap} >= {bound}")
-    # an empty tail would make the bound vacuous
-    if not 0.0 < rep.tail_lhs <= rep.tail_rhs:
-        raise checks.CheckFailed(
-            f"Rankin tail: {rep.tail_lhs} not in (0, {rep.tail_rhs}]")
-    return asdict(rep)
+    return {row.pop("identity"): row for row in checks.rankin(table)}
 
 
 def _suite_factorization(cfg):
@@ -366,8 +346,8 @@ def _suite_contour(cfg):
 
 
 def _suite_gallagher(cfg):
-    rep = sieve.sieve_inequality_check(25, seed=cfg.seed, sigma=0.25)
-    return asdict(rep)
+    report = checks.gallagher(25, cfg.seed, 0.25)
+    return {k: v for k, v in asdict(report).items() if k != "sides"}
 
 
 def _suite_afe(cfg):

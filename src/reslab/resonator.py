@@ -21,6 +21,7 @@ desk-scale computation uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -74,10 +75,17 @@ class ResonatorParams:
 
 
 def _minimal_asymptotic_D(a: float) -> float:
-    # smallest D with Y = min(D^(delta/2), D^(a/4)) > e^e
-    delta = TWO_NINTHS - a
-    expo = min(delta / 2.0, a / 4.0)
-    return math.exp(math.e / expo)
+    # smallest D with Y = min(D^(delta/2), D^(a/4)) > e^e; inf if no float
+    log_D = math.e / min((TWO_NINTHS - a) / 2.0, a / 4.0)
+    return math.exp(log_D) if log_D <= math.log(sys.float_info.max) else math.inf
+
+
+def _power(base: float, expo: float) -> float:
+    """base**expo; ParamsError where it overflows a float."""
+    try:
+        return base**expo
+    except OverflowError:
+        raise ParamsError(f"{base}**{expo:.6g} overflows a float") from None
 
 
 def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
@@ -97,10 +105,11 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     unknown = set(overrides) - {"L", "pminus_lo", "pminus_hi", "B", "x", "Z"}
     if unknown:
         raise ParamsError(f"unknown overrides: {sorted(unknown)}")
+    # abs(v) <= max float is False for NaN, inf and an int past the floats
     bad = {k: v for k, v in {"D": D, "a": a, **overrides}.items()
-           if v is not None and not math.isfinite(v)}
+           if v is not None and not abs(v) <= sys.float_info.max}
     if bad:
-        raise ParamsError(f"need finite values, got {bad}")
+        raise ParamsError(f"need finite float values, got {bad}")
 
     delta = None
     if a is not None:
@@ -137,15 +146,15 @@ def build_params(D: float, a: float | None = None, mode: str = "asymptotic",
     if "Z" in overrides:
         Z = float(overrides["Z"])
     elif a is not None:
-        Z = min(x * D**delta, x**1.5)
+        Z = min(x * D**delta, _power(x, 1.5))
     else:
-        Z = x**1.5
+        Z = _power(x, 1.5)
     if Z <= 0:
         raise ParamsError(f"explicit mode requires Z > 0, got Z = {Z}")
     Y = math.sqrt(Z / x)
     B = float(overrides.get("B", x))
-    plo = float(overrides.get("pminus_lo", L**BAND_LO_EXP))
-    phi_ = float(overrides.get("pminus_hi", L**BAND_HI_EXP))
+    plo = float(overrides.get("pminus_lo", _power(L, BAND_LO_EXP)))
+    phi_ = float(overrides.get("pminus_hi", _power(L, BAND_HI_EXP)))
     return ResonatorParams(a, D, delta, x, Z, Y, L, B, plo, phi_, mode)
 
 

@@ -128,7 +128,7 @@ class TestAcceptance:
         stream, at the worst ratio frozen then."""
         worst = 0.0
         for sigma in sieve.SIGMA_GRID:
-            rep = sieve.sieve_inequality_check(20, 12345, sigma=sigma)
+            rep = checks.gallagher(20, 12345, sigma=sigma)
             assert rep.worst_ratio <= 1.0, sigma
             worst = max(worst, rep.worst_ratio)
         assert worst == pytest.approx(0.01316545160636849, rel=1e-10)

@@ -431,27 +431,28 @@ class TestContour:
 
 class TestRankin:
     def test_small_table_report(self, small_table):
-        rep = analytic.verify_rankin_truncations(small_table)
-        assert rep.identity_gap < 1e-14
-        assert 0.0 < rep.tail_lhs <= rep.tail_rhs
-        assert rep.square_gap_flat < 1e-14
-        assert rep.square_gap_weighted < 1e-14
+        rows = {row["identity"]: row for row in checks.rankin(small_table)}
+        assert rows["mass"]["gap"] < 1e-14
+        assert 0.0 < rows["tail"]["gap"] <= rows["tail"]["bound"]
+        assert rows["square_flat"]["gap"] < 1e-14
+        assert rows["square_weighted"]["gap"] < 1e-14
 
     def test_tail_bound_binds_midway(self, small_table):
         # the cut at sqrt(max n) leaves half of the n in the tail, which
         # is nonempty yet still bounded
-        rep = analytic.verify_rankin_truncations(small_table)
-        assert rep.tail_lhs > 0.0
-        assert rep.tail_lhs <= rep.tail_rhs
+        tail = checks.rankin(small_table)[-1]
+        assert tail["identity"] == "tail"
+        assert tail["gap"] > 0.0
+        assert tail["gap"] <= tail["bound"]
 
     def test_large_table_guarded(self, desk_table):
         with pytest.raises(smoothing.AccuracyError):
-            analytic.verify_rankin_truncations(desk_table)
+            checks.rankin(desk_table)
 
     def test_unsigned_table_rejected(self, three_prime_params):
         bare = resonator.build_table(three_prime_params)
         with pytest.raises(resonator.ParamsError):
-            analytic.verify_rankin_truncations(bare)
+            checks.rankin(bare)
 
 
 class TestResonance:

@@ -1,17 +1,24 @@
 """Command-line layer: config parsing, report determinism, exit codes,
 and the verify suites."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reslab
-from reslab import charsums, cli
+from reslab import charsums, cli, resonator
 
 import golden
 
@@ -225,7 +232,62 @@ def _outdir_through_file(tmp_path):
     return str(path)
 
 
+# configs whose schedule overflowed a float where it made a value: Z =
+# x^(3/2), the finiteness test of a 401-digit D, and the least feasible D
+# that the infeasibility message names
+_OVERFLOW = {
+    "x_1e210": "L = 10\nx = 1e210\n",
+    "D_401_digits": f"L = 10\na = 0.5\nD = {10**400}\n",
+    "asymptotic_a_small": "mode = asymptotic\na = 0.001\nD = 1000000\n",
+}
+
+# the values a generated config draws; None drops the key
+_VALUES = (None, "0", "-1", "-2.5", "1e300", "-1e300", "nan", "inf", "-inf",
+           str(10**400), "0x1f", "junk", "", "asymptotic")
+_KEYS = ("mode", "D", "a", "L", "x", "B", "Z", "pminus_lo", "pminus_hi",
+         "seed", "outdir")
+_CHEAP = (["params"], ["verify", "trig"], ["verify", "arith"],
+          ["verify", "trunc"], ["afe", "--d", "3"], ["ratio"])
+
+
 class TestErrorPaths:
+    @given(st.dictionaries(st.sampled_from(_KEYS), st.sampled_from(_VALUES),
+                           max_size=4),
+           st.sampled_from(_CHEAP))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_config_ends_in_one_line(self, changes, args):
+        # the small config with up to four keys changed: each command ends
+        # in a documented exit code, without a traceback or a warning, and
+        # exits 1 only on a failed check's line
+        fields = dict(line.split(" = ") for line in SMALL_CFG.splitlines()[1:])
+        for key, value in changes.items():
+            if value is None:
+                fields.pop(key, None)
+            else:
+                fields[key] = value
+        cwd = os.getcwd()
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, RESLAB_WORKERS="1"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            os.chdir(tmp)  # a relative outdir lands here
+            try:
+                pathlib.Path("run.cfg").write_text(
+                    "".join(f"{k} = {v}\n" for k, v in fields.items()))
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(["--config", "run.cfg", *args])
+            finally:
+                os.chdir(cwd)
+        assert code in (cli.EXIT_PASS, cli.EXIT_ASSERT, cli.EXIT_CONFIG,
+                        cli.EXIT_WORK)
+        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err.getvalue()
+        if code == cli.EXIT_ASSERT:
+            assert ("FAIL" in out.getvalue()
+                    or err.getvalue().startswith("assertion failed: "))
+
     @pytest.mark.parametrize("args, report", [
         (["ratio"], "ratio_report.json"),
         (["scan-s", "--npoints", "8"], "scan_s.json"),
@@ -242,13 +304,17 @@ class TestErrorPaths:
     @pytest.mark.parametrize("case", ["workers_not_int", "empty_family",
                                       "x_nan", "B_nan", "Z_nan", "Z_inf",
                                       "Z_neg", "Z_zero", "L_neg", "B_8",
-                                      "outdir_not_dir", "outdir_empty",
-                                      "not_utf8", "seed_negative",
-                                      "report_path_taken"])
+                                      "L_1e300", "outdir_not_dir",
+                                      "outdir_empty", "not_utf8",
+                                      "seed_negative", "report_path_taken",
+                                      *_OVERFLOW])
     def test_exit_two_without_traceback(self, case, small_cfg_path, tmp_path):
         cfg = small_cfg_path
         workers = "1"
-        if case == "workers_not_int":
+        if case in _OVERFLOW:
+            cfg = str(tmp_path / "bad.cfg")
+            pathlib.Path(cfg).write_text(_OVERFLOW[case])
+        elif case == "workers_not_int":
             workers = "abc"
         elif case == "empty_family":
             # the family (1, 2] holds no odd d
@@ -277,7 +343,8 @@ class TestErrorPaths:
             # NaN slips past every comparison the schedule makes, an
             # infinite Z puts no bound on the support, Z < 0 reaches
             # sqrt(Z / x), L < 0 a complex L^(5 pi/3), Z = 0 an empty
-            # schedule, and B = 8 puts the prime 2 in the high band
+            # schedule, B = 8 puts the prime 2 in the high band, and
+            # L = 10^300 overflows L^(5 pi/3), the default band edge
             key, value = case.split("_")
             value = {"Z_neg": "-1", "Z_zero": "0", "L_neg": "-2"}.get(case, value)
             bad = tmp_path / "bad.cfg"
@@ -478,6 +545,21 @@ class TestVerifySuites:
         path = tmp_path / f"verify_{suite}.json"
         assert path.exists()
         assert json.loads(path.read_text())["passed"] is True
+
+    def test_trunc_sees_a_scaled_r1(self, monkeypatch, tmp_path, capsys):
+        # r(1) scaled by 1 + 1e-11 moves the Rankin identities by about
+        # 1e-11: inside the 1e-10 and 0.01 the suite once allowed, not
+        # within checks.RANKIN_GAP
+        products = resonator.band_products
+
+        def scaled(band, limit):
+            for n, w, ps in products(band, limit):
+                yield n, (w * (1.0 + 1e-11) if n == 1 else w), ps
+
+        monkeypatch.setattr(resonator, "band_products", scaled)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "trunc"]) == cli.EXIT_ASSERT
+        assert "FAIL [trunc]: identity = " in capsys.readouterr().out
 
     def test_contour_suite(self, tmp_path, capsys, three_prime_contour):
         # the three-prime schedule of the contour tests, through the CLI

@@ -322,9 +322,8 @@ class TestInequality:
     def test_nan_side_fails(self, route, monkeypatch, tmp_path, capsys):
         # a NaN side used to pass every trial and report worst_ratio 0.0
         monkeypatch.setattr(sieve, route, lambda P, arg: math.nan)
-        with pytest.raises(checks.CheckFailed,
-                           match="sieve inequality violated"):
-            sieve.sieve_inequality_check(25, seed=0, sigma=0.25)
+        with pytest.raises(checks.CheckFailed, match="^trial = .*nan"):
+            checks.gallagher(25, seed=0, sigma=0.25)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "gallagher"]) == cli.EXIT_ASSERT
         assert "FAIL [gallagher]" in capsys.readouterr().out
