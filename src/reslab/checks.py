@@ -3,11 +3,11 @@ decides one or raises CheckFailed, and each bound is a constant here.
 
 Each check runs both routes at every point its caller passes and returns a
 row per point: the point, the routes' values, their ``gap``, the ``bound``
-the gap must keep and ``margin = gap / bound``.  A check raises CheckFailed,
-naming the worst point, its gap and its bound, unless every gap <= bound;
-a NaN gap fails.  Kronecker multiplicativity is exact and has no rows.  The
-routes are called as module attributes, so a wrapper or a stub put on
-``analytic.F_direct`` is what a check calls.
+the gap must keep and ``margin = gap / bound`` (0 or inf on a 0 bound).  A
+check raises CheckFailed, naming the worst point, its gap and its bound,
+unless every gap <= bound; a NaN gap fails.  Kronecker multiplicativity is
+exact and has no rows.  The routes are called as module attributes, so a
+wrapper or a stub put on ``analytic.F_direct`` is what a check calls.
 """
 
 import math
@@ -42,7 +42,8 @@ def worst(rows: list[dict]) -> dict:
 
 def _verdict(rows: list[dict], key: str) -> list[dict]:
     for row in rows:
-        row["margin"] = row["gap"] / row["bound"]
+        gap, bound = row["gap"], row["bound"]
+        row["margin"] = gap / bound if bound else (0.0 if gap == 0 else math.inf)
     failed = [row for row in rows if not row["gap"] <= row["bound"]]
     if failed:
         row = worst(failed)

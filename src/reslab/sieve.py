@@ -283,13 +283,12 @@ def random_polynomial(rng: random.Random) -> DirichletPolynomial:
 def sieve_inequality_check(trials: int, seed: int,
                            sigma: float) -> SieveReport:
     """Seeded random trials of the two sides of lhs <= (2 pi / inf
-    |f_hat|^2) * rhs; checks.gallagher decides the inequality.
-
-    This is a theorem once alpha is admissible; any failure means a bug.
-    The worst ratio lhs / (constant * rhs) is reported for regression
-    freezing (it should sit well below 1).  The trials come from the
-    stdlib's random.Random(seed), which the process has already loaded;
-    numpy.random would bring OpenSSL in through secrets and hashlib.
+    |f_hat|^2) * rhs, a theorem once alpha is admissible, which
+    checks.gallagher decides.  The worst ratio lhs / (constant * rhs) over
+    the trials with constant * rhs > 0 is kept for regression freezing (it
+    should sit well below 1).  The trials come from the stdlib's
+    random.Random(seed), which the process has already loaded; numpy.random
+    would bring OpenSSL in through secrets and hashlib.
     """
     report = admissible_alpha()
     rng = random.Random(seed)

@@ -280,7 +280,7 @@ class TestInequality:
             assert all(abs(c) <= 1.0 + 1e-12 for _, c in P.terms)
 
     def test_seeded_trials_frozen(self):
-        rep = sieve.sieve_inequality_check(20, 12345, sigma=0.25)
+        rep = checks.gallagher(20, 12345, sigma=0.25)
         assert rep.worst_ratio <= 1.0
         assert rep.worst_ratio == pytest.approx(
             0.004667843736142626, rel=1e-10)
@@ -310,12 +310,12 @@ class TestInequality:
            st.sampled_from(sieve.SIGMA_GRID))
     @settings(max_examples=10, deadline=None)
     def test_check_repeats(self, seed, trials, sigma):
-        assert sieve.sieve_inequality_check(trials, seed, sigma) == \
-            sieve.sieve_inequality_check(trials, seed, sigma)
+        assert checks.gallagher(trials, seed, sigma) == \
+            checks.gallagher(trials, seed, sigma)
 
     @pytest.mark.parametrize("sigma", sieve.SIGMA_GRID)
     def test_holds_on_every_sigma(self, sigma):
-        rep = sieve.sieve_inequality_check(5, 99, sigma=sigma)
+        rep = checks.gallagher(5, 99, sigma=sigma)
         assert rep.worst_ratio <= 1.0
 
     @pytest.mark.parametrize("route", ["lhs_integral", "rhs_integral"])
@@ -327,3 +327,11 @@ class TestInequality:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "gallagher"]) == cli.EXIT_ASSERT
         assert "FAIL [gallagher]" in capsys.readouterr().out
+
+    def test_zero_right_side(self, monkeypatch):
+        # C * rhs = 0: lhs = 0 holds with margin 0, lhs > 0 fails
+        monkeypatch.setattr(sieve, "rhs_integral", lambda P, sigma: 0.0)
+        with pytest.raises(checks.CheckFailed, match="^trial = 0: .* bound 0.0$"):
+            checks.gallagher(3, seed=0, sigma=0.25)
+        monkeypatch.setattr(sieve, "lhs_integral", lambda P, alpha: 0.0)
+        assert checks.gallagher(3, seed=0, sigma=0.25).worst_ratio == 0.0
