@@ -1,5 +1,6 @@
 """Exact integer kernels: Kronecker symbol, Jacobi residue tables, prime
-and squarefree sieves, factorization bookkeeping.
+and squarefree sieves, and factorization by trial division into
+(p, e) pairs.
 
 Everything here is pure integer arithmetic (no floating point inside the
 symbol computation) and safe to call concurrently.
@@ -8,7 +9,6 @@ symbol computation) and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def jacobi_table(n: int) -> np.ndarray:
     if n < 1 or n % 2 == 0:
         raise ValueError(f"need odd n >= 1, got {n}")
     out = np.ones(n, dtype=np.int8)
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         leg = np.full(p, -1, dtype=np.int8)
         leg[0] = 0
         half = (p - 1) // 2
@@ -92,24 +92,9 @@ def check_2d_squarefree(d: int) -> None:
             f"d must be a positive odd squarefree integer, got d = {d}")
 
 
-def chi8d(d: int, n: int) -> int:
-    """The real character n -> (8d|n), for d with 2d squarefree."""
-    check_2d_squarefree(d)
-    return kronecker(8 * d, n)
-
-
 def is_squarefree(n: int) -> bool:
     n = abs(int(n))
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    return n != 0 and all(e == 1 for _, e in factorize(n))
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -165,61 +150,23 @@ def smallest_prime_factor(n: int) -> np.ndarray:
     return spf
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer with its prime factorization, primes increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        m = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last or e < 1:
-                raise ValueError(f"bad factorization of {self.n}: {self.factors}")
-            last = p
-            m *= p**e
-        if m != self.n or self.n < 1:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    @property
-    def is_odd(self) -> bool:
-        return self.n % 2 == 1
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def factorize(n: int) -> FactoredInteger:
-    """Trial-division factorization; intended for n below ~10^12."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, e) with n = prod p^e, primes increasing, by trial
+    division; intended for n below ~10^12."""
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    m = n
     facts = []
     p = 2
-    while p * p <= m:
-        if m % p == 0:
+    while p * p <= n:
+        if n % p == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             facts.append((p, e))
         p += 1 if p == 2 else 2
-    if m > 1:
-        facts.append((m, 1))
-    return FactoredInteger(n, tuple(facts))
+    if n > 1:
+        facts.append((n, 1))
+    return tuple(facts)
 
-
-def divisor_count(f: FactoredInteger) -> int:
-    """Number of divisors; 2^k for squarefree arguments with k prime factors."""
-    out = 1
-    for _, e in f.factors:
-        out *= e + 1
-    return out

@@ -55,6 +55,9 @@ class EmptyFamilyError(RuntimeError):
 # resonator.MAX_SUPPORT, which support enumeration enforces too
 MAX_D_EXACT = 10**8
 MAX_X = 10**6
+# entries of the scan's residue tables, sum p over odd primes p <= 2x;
+# about 10 ns each on a 2-CPU Xeon VM, so 10^9 (x near 7.5e4) is ~10 s
+MAX_TABLE_ENTRIES = 10**9
 
 
 # --------------------------------------------------------------------------
@@ -109,35 +112,32 @@ class PartialSumKernel:
         keep = m * m <= lim / ell
         return base[keep], lm2[keep] / y
 
+    def _sum(self, y: float, lim: float, weight) -> float:
+        """fsum of weight(base, u) over the window of cutoff lim; 0.0 when
+        lim < 1, below the lattice's first point l m^2 = 1."""
+        if lim < 1:
+            return 0.0
+        base, u = self._window(y, lim)
+        return math.fsum(weight(base, u).tolist())
+
     def S(self, y: float) -> float:
         """S(y) = sum_l c_l sum_m b(m,l)/m phi(l m^2 / y)."""
-        if y < 0.5:
-            return 0.0
-        base, u = self._window(y, 2.0 * y)
-        return math.fsum((base * smoothing.phi(u)).tolist())
+        return self._sum(y, 2.0 * y, lambda base, u: base * smoothing.phi(u))
 
     def S_star(self, y: float) -> float:
         """Absolute-value companion: all cutoffs replaced by the window
         m^2 <= 2y/l, coefficients in absolute value.  Nonnegative and
         nondecreasing in y."""
-        if y < 0.5:
-            return 0.0
-        base, _ = self._window(y, 2.0 * y)
-        return math.fsum(np.abs(base).tolist())
+        return self._sum(y, 2.0 * y, lambda base, u: np.abs(base))
 
     def S_tilde(self, y: float) -> float:
         """Dyadic difference S(y) - S(2y), summed through psi directly."""
-        if y < 0.25:
-            return 0.0
-        base, u = self._window(y, 4.0 * y)
-        return math.fsum((base * smoothing.psi(u)).tolist())
+        return self._sum(y, 4.0 * y, lambda base, u: base * smoothing.psi(u))
 
     def y_dS(self, y: float) -> float:
         """y * dS/dy, by exact termwise differentiation of the cutoff."""
-        if y < 0.5:
-            return 0.0
-        base, u = self._window(y, 2.0 * y)
-        return math.fsum((-base * u * smoothing.phi_prime(u)).tolist())
+        return self._sum(y, 2.0 * y,
+                         lambda base, u: -base * u * smoothing.phi_prime(u))
 
 
 # --------------------------------------------------------------------------
@@ -430,6 +430,11 @@ def scan_family(table: CoefficientTable, workers: int, rows=None) -> FamilyScan:
             f"exact scan guard: need D <= {MAX_D_EXACT}, support <= "
             f"{resonator.MAX_SUPPORT}, x <= {MAX_X}; got D = {D}, "
             f"support = {len(table.support)}, x = {x}")
+    entries = int(arith.primes_up_to(2 * x)[1:].sum())
+    if entries > MAX_TABLE_ENTRIES:
+        raise WorkEstimateError(
+            f"residue table guard: need sum of odd primes p <= 2x at most "
+            f"{MAX_TABLE_ENTRIES}; got {entries} at x = {x}")
     lo = int(D // 2) + 1
     hi = int(D)
     if lo > hi:
@@ -548,7 +553,7 @@ def orthogonality_check(n: int, D: float) -> tuple[float, float, float]:
     root = math.isqrt(n)
     if n % 2 == 1 and root * root == n:
         main = 3.0 / math.pi**2 * D
-        for p, _ in arith.factorize(2 * n).factors:
+        for p, _ in arith.factorize(2 * n):
             main *= p / (p + 1.0)
     return exact, main, exact - main
 

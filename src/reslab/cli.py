@@ -24,7 +24,8 @@ written; a command that writes checks its outdir before any work, but
 creates it only when it writes.  Work-estimate aborts are one class,
 resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
 resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
-past the scan's guards on D, support size and x, a schedule whose support
+past the scan's guards on D, support size and x, or whose residue tables
+would pass charsums.MAX_TABLE_ENTRIES entries, a schedule whose support
 holds more than resonator.MAX_SUPPORT entries (raised while it is
 enumerated), an ``afe --d`` above charsums.MAX_D_EXACT, where the oracle
 would need O(d) memory and time, a ``scan-s --y-hi`` above charsums.MAX_X,
@@ -181,11 +182,7 @@ def write_report(outdir: str, name: str, payload: dict) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_params(cfg: RunConfig) -> int:
-    try:
-        params = cfg.to_params()
-    except resonator.ParamsError as e:
-        print(f"INFEASIBLE: {e}")
-        return EXIT_CONFIG
+    params = cfg.to_params()
     table = resonator.build_table(params)
     print("verdict: FEASIBLE")
     for key in ("mode", "D", "a", "delta", "x", "Z", "Y", "L", "B",

@@ -247,8 +247,7 @@ def r_tilde(p: int, table: CoefficientTable) -> float:
     return table.r(p) / ((1.0 + 1.0 / p) * (1.0 + rp * rp))
 
 
-def b_weight(m: arith.FactoredInteger, l: arith.FactoredInteger,
-             table: CoefficientTable) -> float:
+def b_weight(m: int, l: int, table: CoefficientTable) -> float:
     """Product over odd primes p | m with p not dividing l of
 
         (p/(p+1)) (1 + r_-(p)^2) / (1 + r_-(p)^2 p/(p+1));
@@ -256,12 +255,10 @@ def b_weight(m: arith.FactoredInteger, l: arith.FactoredInteger,
     equals 1 on an empty index set.  Only the low band contributes a
     nontrivial numerator since r_- vanishes elsewhere.
     """
-    lp = set(l.primes)
     out = 1.0
-    for p, _ in m.factors:
-        if p == 2 or p in lp:
-            continue
-        out *= b_prime_factor(p, table.params)
+    for p, _ in arith.factorize(m):
+        if p != 2 and l % p:
+            out *= b_prime_factor(p, table.params)
     return out
 
 

@@ -47,16 +47,16 @@ def _literal_F(s, table, ell_max, m_max):
     ells = [1]
     for p in sorted(table.pminus):
         ells += [ell * p for ell in ells if ell * p <= ell_max]
-    ms = [arith.factorize(m) for m in range(1, m_max + 1)]
     total = 0j
     abs_c = []
     for ell in ells:
-        lf = arith.factorize(ell)
-        c = (math.prod(rt[p] for p in lf.primes) * arith.divisor_count(lf)
+        primes = [p for p, _ in arith.factorize(ell)]
+        # ell is squarefree, so d(ell) = 2^(number of primes)
+        c = (math.prod(rt[p] for p in primes) * 2 ** len(primes)
              * ell ** (-0.5 - s))
         abs_c.append(abs(c))
-        total += c * sum(resonator.b_weight(mf, lf, table) * mf.n ** (-1 - 2 * s)
-                         for mf in ms)
+        total += c * sum(resonator.b_weight(m, ell, table) * m ** (-1 - 2 * s)
+                         for m in range(1, m_max + 1))
     big = math.prod(1.0 + 2.0 * abs(r) / math.sqrt(p) for p, r in rt.items())
     tail = (math.fsum(abs_c) * m_max ** (-2 * sigma) / (2 * sigma)
             + ell_max ** -sigma * big)

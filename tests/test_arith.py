@@ -83,21 +83,22 @@ class TestJacobiTable:
 
 class TestChi8d:
     def test_even_n_vanishes(self):
-        assert arith.chi8d(3, 2) == 0
-        assert arith.chi8d(3, 10) == 0
+        assert arith.kronecker(8 * 3, 2) == 0
+        assert arith.kronecker(8 * 3, 10) == 0
 
     def test_rejects_bad_discriminant(self):
         with pytest.raises(arith.InvalidDiscriminant):
-            arith.chi8d(2, 3)  # even d
+            arith.check_2d_squarefree(2)  # even d
         with pytest.raises(arith.InvalidDiscriminant):
-            arith.chi8d(9, 3)  # 2*9 not squarefree
+            arith.check_2d_squarefree(9)  # 2*9 not squarefree
 
     @given(st.integers(1, 500), st.integers(1, 500))
     @settings(max_examples=300)
     def test_vanishes_iff_not_coprime(self, d, n):
         if d % 2 == 0 or not arith.is_squarefree(d):
             return
-        chi = arith.chi8d(d, n)
+        arith.check_2d_squarefree(d)
+        chi = arith.kronecker(8 * d, n)
         if math.gcd(8 * d, n) > 1:
             assert chi == 0
         else:
@@ -124,22 +125,30 @@ class TestSieves:
         spf = arith.smallest_prime_factor(1000)
         for n in range(2, 1001):
             assert n % spf[n] == 0
-            f = arith.factorize(n)
-            assert spf[n] == f.factors[0][0]
+            assert spf[n] == arith.factorize(n)[0][0]
+
+
+_SPF = arith.smallest_prime_factor(10**6)
 
 
 class TestFactoredInteger:
     def test_roundtrip(self):
-        f = arith.factorize(360)
-        assert f.factors == ((2, 3), (3, 2), (5, 1))
-        assert not f.is_squarefree
-        assert arith.divisor_count(f) == 24
+        assert arith.factorize(360) == ((2, 3), (3, 2), (5, 1))
+        assert not arith.is_squarefree(360)
+        assert arith.factorize(105) == ((3, 1), (5, 1), (7, 1))
+        assert arith.is_squarefree(105)
 
-    def test_squarefree_odd_flags(self):
-        f = arith.factorize(105)
-        assert f.is_squarefree and f.is_odd
-        assert f.primes == (3, 5, 7)
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=300)
+    def test_pairs_multiply_back(self, n):
+        pairs = arith.factorize(n)
+        assert math.prod(p**e for p, e in pairs) == n
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes))
+        assert all(_SPF[p] == p for p in primes)
+        assert all(e >= 1 for _, e in pairs)
+        assert arith.is_squarefree(n) == all(e == 1 for _, e in pairs)
 
-    def test_validation(self):
+    def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            arith.FactoredInteger(6, ((3, 1), (2, 1)))  # unsorted
+            arith.factorize(0)

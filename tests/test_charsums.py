@@ -57,16 +57,17 @@ def _literal_sums(table, y):
                         (2.0 * y, lambda base, u: -base * u * smoothing.phi_prime(u))):
         terms = []
         for ell in range(1, int(lim) + 1):
-            lf = arith.factorize(ell)
-            if not (lf.is_squarefree and set(lf.primes) <= band):
+            pairs = arith.factorize(ell)
+            if not (all(e == 1 for _, e in pairs)
+                    and {p for p, _ in pairs} <= band):
                 continue
             coef = 1.0
-            for p in lf.primes:
+            for p, _ in pairs:
                 coef *= 2.0 * resonator.r_tilde(p, table)
             coef /= math.sqrt(ell)
             m = 1
             while m * m <= lim / ell:
-                b = resonator.b_weight(arith.factorize(m), lf, table)
+                b = resonator.b_weight(m, ell, table)
                 terms.append(weight(coef * b / m, ell * m * m / y))
                 m += 1
         sums.append(math.fsum(terms))

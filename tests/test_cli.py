@@ -243,7 +243,7 @@ _OVERFLOW = {
 
 # the values a generated config draws; None drops the key
 _VALUES = (None, "0", "-1", "-2.5", "1e300", "-1e300", "nan", "inf", "-inf",
-           str(10**400), "0x1f", "junk", "", "asymptotic")
+           str(10**400), "0x1f", "junk", "", "asymptotic", "1e5")
 _KEYS = ("mode", "D", "a", "L", "x", "B", "Z", "pminus_lo", "pminus_hi",
          "seed", "outdir")
 _CHEAP = (["params"], ["verify", "trig"], ["verify", "arith"],
@@ -448,6 +448,29 @@ class TestErrorPaths:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "partial-sum guard" in proc.stderr
         assert not os.path.exists(tmp_path / "out")
+
+    def test_table_guard_exit_three(self, tmp_path):
+        # x = 10^5 needs residue tables of 1.7e9 entries in all, about 20 s
+        # of work; the scan refuses before it builds one
+        (tmp_path / "wide.cfg").write_text(
+            SMALL_CFG.replace("x = 30\n", "x = 1e5\n")
+            .replace("Z = 150\n", "Z = 1e20\n"))
+        proc = _run_cli(["--config", "wide.cfg", "ratio"], tmp_path)
+        assert proc.returncode == cli.EXIT_WORK
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "residue table guard" in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["wide.cfg"]
+
+    def test_params_schedule_error_on_stderr(self, tmp_path):
+        # x^1.5 overflows a float: params reports it as every command does
+        (tmp_path / "over.cfg").write_text("mode = explicit\nL = 10\n"
+                                           "x = 1e210\n")
+        proc = _run_cli(["--config", "over.cfg", "params"], tmp_path)
+        assert proc.returncode == cli.EXIT_CONFIG
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "INFEASIBLE" not in proc.stdout
 
 
 # the D = 10^6 exhibit schedule, outdir "out"

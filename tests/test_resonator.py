@@ -109,15 +109,13 @@ class TestTable:
             assert abs(rt) < abs(r)
 
     def test_b_weight_multiplicative_and_bounded(self, desk_table):
-        m = arith.factorize(41 * 43)
-        l1 = arith.factorize(1)
-        b = resonator.b_weight(m, l1, desk_table)
-        b41 = resonator.b_weight(arith.factorize(41), l1, desk_table)
-        b43 = resonator.b_weight(arith.factorize(43), l1, desk_table)
+        b = resonator.b_weight(41 * 43, 1, desk_table)
+        b41 = resonator.b_weight(41, 1, desk_table)
+        b43 = resonator.b_weight(43, 1, desk_table)
         assert b == pytest.approx(b41 * b43)
         assert 0 < b < 1
         # primes dividing l are skipped
-        assert resonator.b_weight(m, arith.factorize(41 * 43), desk_table) == 1.0
+        assert resonator.b_weight(41 * 43, 41 * 43, desk_table) == 1.0
 
 
 class TestSigns:
@@ -145,9 +143,8 @@ class TestSupport:
             if n == 1:
                 assert r == 1.0
             else:
-                f = arith.factorize(n)
                 assert r == pytest.approx(
-                    math.prod(small_table.r(p) for p in f.primes))
+                    math.prod(small_table.r(p) for p, _ in arith.factorize(n)))
 
     def test_support_respects_Z(self, desk_params, desk_table):
         assert all(n <= desk_params.Z for n, _ in desk_table.support)
