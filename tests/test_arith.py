@@ -135,8 +135,13 @@ class TestFactoredInteger:
     def test_roundtrip(self):
         assert arith.factorize(360) == ((2, 3), (3, 2), (5, 1))
         assert not arith.is_squarefree(360)
-        assert arith.factorize(105) == ((3, 1), (5, 1), (7, 1))
+
+    def test_squarefree_odd_flags(self):
+        pairs = arith.factorize(105)
+        assert pairs == ((3, 1), (5, 1), (7, 1))
         assert arith.is_squarefree(105)
+        assert all(p != 2 for p, _ in pairs)
+        assert tuple(p for p, _ in pairs) == (3, 5, 7)
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=300)
