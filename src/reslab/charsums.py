@@ -628,9 +628,10 @@ def afe_central_value(d: int) -> AfeValue:
 
 
 # Odd residues mod q per block of dirichlet_l_half: small enough that the
-# block's temporaries stay in L2, large enough that the per-block numpy
-# calls cost little.  The sieves keep the larger arith.SEGMENT.
-_ORACLE_BLOCK = 1 << 14
+# block's temporaries stay in L2 and their heap stays small, large enough
+# that the per-block numpy calls cost little.  The sieves keep the larger
+# arith.SEGMENT.
+_ORACLE_BLOCK = 1 << 13
 
 # chi_{8d}(a) / (a|d) as a function of a mod 8, for d = 1 and d = 3 mod 4:
 # (2|a), times (-1|a) when d = 3 mod 4; zero at even a
@@ -658,12 +659,13 @@ def dirichlet_l_half(d: int) -> float:
 
     chi_{8d} comes from the Jacobi table of d (arith.jacobi_table) by
     reciprocity, not from the kronecker routine the AFE uses.  The odd
-    residues are walked in blocks of _ORACLE_BLOCK = 2^14, so that the
-    float64 temporaries of hurwitz_em's power passes (128 KiB each, about
-    1.3 MiB traced in all) fit together in a 2 MiB L2 cache.  Each
-    residue's term goes through the same operations whatever the block,
-    and one math.fsum, which rounds exactly in any order, takes every
-    class's term, so the result is bit-identical for any block size.
+    residues are walked in blocks of _ORACLE_BLOCK = 2^13, so that the
+    float64 temporaries of hurwitz_em's power passes (64 KiB each) fit
+    together in a 2 MiB L2 cache; the traced peak, about 1.3 MiB, is the
+    Jacobi table's build.  Each residue's term goes through the same
+    operations whatever the block, and one math.fsum, which rounds exactly
+    in any order, takes every class's term, so the result is bit-identical
+    for any block size.
     Memory beyond the Jacobi table is bounded by one block.  Raises
     WorkEstimateError for d > MAX_D_EXACT, before any work of size d.
     """

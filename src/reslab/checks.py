@@ -54,13 +54,14 @@ def _verdict(rows: list[dict], key: str) -> list[dict]:
 
 def factorization(points, table) -> list[dict]:
     """F(s) as the double sum against zeta(2s+1) G(s) H(s), within both
-    certificates."""
+    certificates; the product takes every point in one call."""
+    factored, cert = analytic.F_factored_bounded(
+        np.array(points, dtype=complex), table)
     rows = []
-    for s in points:
+    for s, value, c in zip(points, factored.tolist(), cert.tolist()):
         direct, tail = analytic.F_direct(complex(s), table)
-        factored, cert = analytic.F_factored_bounded(complex(s), table)
-        rows.append({"s": s, "direct": direct, "factored": factored,
-                     "gap": abs(direct - factored), "bound": tail + cert})
+        rows.append({"s": s, "direct": direct, "factored": value,
+                     "gap": abs(direct - value), "bound": tail + c})
     return _verdict(rows, "s")
 
 

@@ -21,7 +21,8 @@ a ``scan-s`` whose npoints is below 1 or whose y_lo, y_hi are not finite
 with 0 < y_lo < y_hi, an outdir that is empty or cannot be a directory
 because a file stands on its path, and an output path that cannot be
 written; a command that writes checks its outdir before any work, but
-creates it only when it writes.  Work-estimate aborts are one class,
+creates it only when it writes, and removes what it created, if still
+empty, when it fails.  Work-estimate aborts are one class,
 resonator.WorkEstimateError: a schedule whose B or pminus_hi is above
 resonator.MAX_SIEVE (checked before the bands are sieved), a ``ratio``
 past the scan's guards on D, support size and x, or whose residue tables
@@ -140,7 +141,13 @@ class RunConfig:
 @contextlib.contextmanager
 def atomic_output(path: str):
     """A binary file on path + ".tmp", in a directory made if missing;
-    renamed to path when the block completes, removed on any error."""
+    renamed to path when the block completes, removed on any error, and
+    with it each directory made here that is still empty."""
+    made = []
+    head = os.path.dirname(path)
+    while head and not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     try:
@@ -150,6 +157,9 @@ def atomic_output(path: str):
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
 
 
@@ -330,8 +340,8 @@ def _suite_factorization(cfg):
         (0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j, 0.6 - 0.5j,
          1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j, 0.4 - 1.5j), table)
     return {"points": [{"s": str(row["s"]), "gap": row["gap"],
-                        "cert": row["bound"], "bound": row["bound"],
-                        "margin": row["margin"]} for row in rows],
+                        "bound": row["bound"], "margin": row["margin"]}
+                       for row in rows],
             "worst_over_cert": checks.worst(rows)["margin"]}
 
 

@@ -26,7 +26,9 @@ After a change that moves an output on purpose, rewrite the manifest with
 
     PYTHONPATH=src python tests/golden.py
 
-and name each changed artifact, and why, in CHANGES.md.
+which prints each artifact whose sha256 differs from the manifest it
+replaces (an artifact new to the manifest counts as changed) and how many
+stayed the same; name each changed artifact, and why, in CHANGES.md.
 """
 
 import hashlib
@@ -180,14 +182,25 @@ def mismatch(name: str, data: bytes, manifest: dict) -> str | None:
             f"{manifest['host']}, this host {host()})")
 
 
+def changed(old: dict, new: dict) -> list[str]:
+    """The artifacts of manifest new whose sha256 differs from manifest
+    old's, or that old lacks, in new's order."""
+    return [name for name, item in new["artifacts"].items()
+            if old["artifacts"].get(name, {}).get("sha256") != item["sha256"]]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         made = artifacts(pathlib.Path(tmp), contour=True)
     manifest = {"host": host(),
                 "artifacts": {name: entry(name, data)
                               for name, data in made.items()}}
+    moved = changed(load() if MANIFEST.exists() else {"artifacts": {}}, manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST}: {len(made)} artifacts")
+    for name in moved:
+        print(f"changed: {name}")
+    print(f"unchanged: {len(made) - len(moved)}")
     return 0
 
 

@@ -64,9 +64,9 @@ def _literal_F(s, table, ell_max, m_max):
 
 
 def _zeta(s):
-    """zeta(s) = zeta(s, 1) from hurwitz_em at the cutoff F_factored_bounded
-    uses (w = 50, K = 10), held to a 1e-10 remainder certificate."""
-    value, bound = analytic.hurwitz_em(s, 1.0, 49, 10)
+    """zeta(s) = zeta(s, 1) from hurwitz_em as F_factored_bounded takes it
+    (N = "auto", K = 10), held to a 1e-10 remainder certificate."""
+    value, bound = analytic.hurwitz_em(s, 1.0, "auto", 10)
     assert bound <= 1e-10
     return value
 
@@ -86,12 +86,10 @@ def _rounding(s, x, N):
     return 2.0**-52 * (N + 16 + abs(s) * math.log(w)) * mags
 
 
-def _g(s, table, accuracy):
-    """G(s) = F(s) / (zeta(2s+1) H(s)), with G's generic product truncated
-    where its log tail is at most `accuracy`."""
-    pmax = analytic._g_tail_pmax(float(np.min(np.real(s))), accuracy)
-    f, _ = analytic.F_factored_bounded(s, table, pmax)
-    return f / (analytic.hurwitz_em(2 * np.asarray(s) + 1, 1.0, 49, 10)[0]
+def _g(s, table):
+    """G(s) = F(s) / (zeta(2s+1) H(s)), with zeta(2s+1) as F takes it."""
+    f, _ = analytic.F_factored_bounded(s, table)
+    return f / (analytic.hurwitz_em(2 * np.asarray(s) + 1, 1.0, "auto", 10)[0]
                 * analytic.H_of_s(s, table))
 
 
@@ -204,6 +202,50 @@ class TestHurwitz:
             assert (float(vv), float(bv)) == analytic.hurwitz_em(
                 0.5, float(xv), 24, 6)
 
+    def test_integer_n_bits_fixed(self):
+        # the central-value oracle's call, and zeta at the old fixed cutoff
+        # of F: N = "auto" leaves the integer-N path bit for bit
+        x = np.array([0.0625, 0.125, 0.3, 0.5, 0.7, 0.9999, 1.0])
+        values, _ = analytic.hurwitz_em(0.5, x, 24, 6)
+        assert [float(v).hex() for v in values] == [
+            "0x1.3addbe0d1c998p+1", "0x1.3647f0b1bc28ap+0",
+            "0x1.6d744d586b751p-7", "-0x1.35b54665c8042p-1",
+            "-0x1.02b28624556dfp+0", "-0x1.75d13b86f6161p+0",
+            "-0x1.75d9cb07e73fdp+0"]
+        z, bound = analytic.hurwitz_em(1.5 + 40j, 1.0, 49, 10)
+        assert (z.real.hex(), z.imag.hex(), bound.hex()) == (
+            "0x1.c0fa27db71696p-1", "-0x1.07e5b9e8e1041p-2",
+            "0x1.eb911bad05c1bp-71")
+
+    @given(sigma=st.floats(-8.0, 6.0), t=st.floats(-60.0, 60.0),
+           x=st.floats(2.0**-10, 1.0),
+           others=st.lists(st.complex_numbers(max_magnitude=80.0),
+                           max_size=5))
+    @example(sigma=0.5, t=0.0, x=1.0, others=[])
+    @example(sigma=6.0, t=0.0, x=1.0, others=[40j, -3.0])
+    @settings(max_examples=40, deadline=None)
+    def test_auto_n_is_least_meeting_target(self, sigma, t, x, others):
+        # N = "auto" gives the integer-N call at the least N whose bound
+        # meets the target, whatever other nodes share the call
+        s = complex(sigma, t)
+        others = [z for z in others if abs(z - 1.0) >= 1e-3 and z.real > -9.0]
+        assume(abs(s - 1.0) >= 1e-3)
+        value, bound = analytic.hurwitz_em(s, x, "auto", 10)
+        assert bound <= analytic._EM_TARGET
+        lo, hi = 1, 1024  # the least N at which the bound meets the target
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if analytic.hurwitz_em(s, x, mid, 10)[1] <= analytic._EM_TARGET:
+                hi = mid
+            else:
+                lo = mid + 1
+        assert analytic.hurwitz_em(s, x, lo, 10) == (value, bound)
+        if lo > 1:
+            assert analytic.hurwitz_em(s, x, lo - 1, 10)[1] > analytic._EM_TARGET
+        values, bounds = analytic.hurwitz_em(np.array([*others, s]), x,
+                                             "auto", 10)
+        assert (complex(values[-1]), float(bounds[-1])) == (value, bound)
+
     def test_guards(self):
         with pytest.raises(ZeroDivisionError):
             analytic.hurwitz_em(np.array([2.0, 1.0]), 0.5, 24, 6)
@@ -237,7 +279,7 @@ class TestH:
 
 class TestG:
     def test_empty_band_value_frozen(self, empty_band_table):
-        g = _g(1.0, empty_band_table, accuracy=1e-9)
+        g = _g(1.0, empty_band_table)
         assert g.imag == 0.0
         assert g.real == pytest.approx(0.9889390562188791, abs=5e-9)
 
@@ -257,7 +299,7 @@ class TestG:
 
     def test_log_bounded_on_grid(self, desk_table):
         grid = np.array([0.05, 0.3 + 2.0j, 1.0 - 5.0j, -0.1 + 1.0j])
-        for g in _g(grid, desk_table, accuracy=1e-4):
+        for g in _g(grid, desk_table):
             assert abs(cmath.log(g)) < 10.0
 
 
@@ -321,39 +363,155 @@ class TestFactorization:
 
     def test_empty_band_structure(self, empty_band_table):
         # F = zeta(2s+1) G when the band is empty (H == 1), with G the
-        # product over every odd prime, here written out term by term
+        # product over every odd prime, here written out term by term to
+        # 200 000, where its log tail is below 2e-14
         s = 0.8
-        f, _ = analytic.F_factored_bounded(s, empty_band_table, pmax=1000)
+        f, _ = analytic.F_factored_bounded(s, empty_band_table)
         g = math.prod(1.0 - 1.0 / ((p + 1) * p ** (2 * s + 1))
-                      for p in arith.primes_up_to(1000)[1:].tolist())
+                      for p in arith.primes_up_to(200_000)[1:].tolist())
         assert f == pytest.approx(_zeta(2 * s + 1) * g, rel=1e-10)
 
+    @pytest.mark.parametrize("s", (0.25, 0.25 + 5.0j, 0.25 + 60.0j,
+                                   0.5 - 3.0j, 0.4 + 0.3j))
+    def test_generic_product_against_literal(self, empty_band_table, s):
+        # with no band F = zeta(2s+1) G, G the product over every odd
+        # prime, here summed as logarithms up to 10^6, by no part of F's
+        # route: each omitted logarithm is at most 2 p^-x, x = 2 sigma + 2,
+        # so the tail is at most 2 P^(1-x) / (x - 1)
+        value, cert = analytic.F_factored_bounded(s, empty_band_table)
+        p = arith.primes_up_to(10**6)[1:].astype(float)
+        w = 2 * s + 2
+        logg = np.sum(np.log1p(-np.exp(-w * np.log(p)) * p / (p + 1.0)))
+        x = w.real
+        tail = 2.0 * 1e6 ** (1.0 - x) / (x - 1.0)
+        literal = _zeta(2 * s + 1) * cmath.exp(logg)
+        assert abs(value - literal) <= cert + abs(literal) * math.expm1(tail)
+
     def test_vectorized_matches_scalar(self, desk_table):
-        # 400 nodes against the ~3 200 primes up to 30 000 take several
-        # blocks of the generic-prime sum; a single node takes one
+        # 400 nodes against the 168 primes up to _P1 take two blocks of the
+        # (node, prime) passes; a single node takes one, and a node's
+        # operations do not depend on its neighbours
         t = np.linspace(-30.0, 30.0, 200)
         s = np.stack([0.05 + 1j * t, -0.1 + 1j * t[::-1]])
-        assert s.size * 3000 > analytic._BLOCK
-        vec, certs = analytic.F_factored_bounded(s, desk_table, pmax=30_000)
+        assert s.size * arith.primes_up_to(analytic._P1).size > analytic._BLOCK
+        vec, certs = analytic.F_factored_bounded(s, desk_table)
         assert vec.shape == certs.shape == s.shape
         for idx in ((0, 0), (0, 117), (1, 3), (1, 199)):
             value, cert = analytic.F_factored_bounded(complex(s[idx]),
-                                                      desk_table, pmax=30_000)
-            assert complex(vec[idx]) == pytest.approx(value, rel=1e-12)
-            assert float(certs[idx]) == pytest.approx(cert, rel=1e-12)
+                                                      desk_table)
+            assert complex(vec[idx]) == value
+            assert float(certs[idx]) == cert
 
-    def test_certificate_covers_zeta_remainder(self, three_prime_table):
-        # far up the line the Euler-Maclaurin remainder of zeta(2s+1) at
-        # the cutoff w = 50 dominates the certificate; the same product
-        # with zeta at w = 400 (remainder below 1e-17) is the reference
-        s = 0.25 + 100.0j
+    def test_certificate_covers_zeta_remainder(self, three_prime_table,
+                                               monkeypatch):
+        # at the package's target the Euler-Maclaurin remainders sit at
+        # rounding level, so here one kind of row of F's hurwitz_em call,
+        # zeta(2s+1) or the zeta(m z) of the prime zeta tail, takes N =
+        # "auto" at a target of 1e-9, and the other rows N = 400.  F with
+        # every row at N = 400 is the reference: the gap is that kind's
+        # remainder, the certificate must cover it, and with the
+        # remainders zeroed it would not
+        monkeypatch.setattr(analytic, "_EM_TARGET", 1e-9)
+        hurwitz = analytic.hurwitz_em
+        s = np.array([1.5 + 100.0j, 2.0 + 30.0j, 1.0 - 60.0j])
+
+        def at(route):
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "hurwitz_em", route)
+                return analytic.F_factored_bounded(s, three_prime_table)
+
+        ref, ref_cert = at(lambda z, x, N, K: hurwitz(z, x, 400, K))
+        for first, rest in (("auto", 400), (400, "auto")):
+            def mixed(z, x, N, K, zeroed=False):
+                v0, b0 = hurwitz(z[:1], x, first, K)
+                v1, b1 = hurwitz(z[1:], x, rest, K)
+                bounds = np.concatenate([b0, b1])
+                return np.concatenate([v0, v1]), bounds * (not zeroed)
+
+            value, cert = at(mixed)
+            same, bare_cert = at(lambda z, x, N, K: mixed(z, x, N, K, True))
+            assert np.array_equal(same, value)
+            gap = np.abs(value - ref)
+            assert np.all(bare_cert < gap) and np.all(gap <= cert + ref_cert)
+
+    @pytest.mark.parametrize("s", (-0.145, 0.05))
+    def test_certificate_covers_omitted_m_terms(self, three_prime_table,
+                                                monkeypatch, s):
+        # with P0 = 100 and only m = 1 kept, the omitted m-terms of the
+        # prime zeta tail outweigh the bracket tail; the same engine with
+        # M = 3 is the reference, and the certificate is within ten times
+        # the gap, so it needs the omitted terms' bound
+        monkeypatch.setattr(analytic, "_P0", 100)
+        ref, ref_cert = analytic.F_factored_bounded(s, three_prime_table)
+        monkeypatch.setattr(analytic, "_M", 1)
         value, cert = analytic.F_factored_bounded(s, three_prime_table)
-        z50, _ = analytic.hurwitz_em(2 * s + 1, 1.0, 49, 10)
-        z400, b400 = analytic.hurwitz_em(2 * s + 1, 1.0, 399, 10)
-        assert b400 < 1e-15
-        gap = abs(value - value / z50 * z400)
-        assert gap > 1e-8
-        assert gap <= cert
+        gap = abs(value - ref)
+        assert cert / 10 < gap <= cert + ref_cert
+
+
+_REFERENCE = {"_P0": 2000, "_P1": 20_000, "_M": 6}
+
+
+def _reference_F(s, table):
+    """F_factored_bounded with P0, P1 and M raised and every zeta at
+    N = 400: the same engine, far sharper."""
+    hurwitz = analytic.hurwitz_em
+    with mock.patch.multiple(
+            analytic, **_REFERENCE,
+            hurwitz_em=lambda z, x, N, K: hurwitz(
+                z, x, 400 if N == "auto" else N, K)):
+        return analytic.F_factored_bounded(s, table)
+
+
+def _steps(table, P0, P1, M):
+    """The floating steps that form one node of F_factored_bounded, to
+    first order: per prime of its passes the exp, 2M factors of the
+    products over p <= P0 or one term of the sum over p > P0, and one
+    factor of the generic product; four per band prime; and 1024 for the
+    zeta sums (N <= 400 terms at every node tested here), the logarithms
+    and the products that join them."""
+    primes = set(arith.primes_up_to(P1).tolist()) | set(table.pminus)
+    low = sum(1 for p in primes if p <= P0)
+    return (2 * len(primes) + 2 * M * low + (len(primes) - low)
+            + 4 * len(table.pminus) + 1024)
+
+
+class TestCertificate:
+    """F's certificate covers its real error on the nodes every caller
+    uses: the two contour lines and the circle of the three-prime
+    table, and the twelve points of `reslab verify factorization`."""
+
+    def _nodes(self, where, table):
+        nodes, _ = smoothing.vertical_line_nodes(analytic._TMAX)
+        if where == "right":
+            return analytic._SIGMA_LINE + 1j * nodes[::97]
+        if where == "shifted":
+            sigma = -1.0 / math.log(math.log(table.params.D)) ** 2
+            return sigma + 1j * nodes[::97]
+        theta = np.arange(0, analytic._N_CIRCLE, 16) * (2 * math.pi
+                                                       / analytic._N_CIRCLE)
+        return 0.15 * np.exp(1j * theta)
+
+    @pytest.mark.parametrize("where", ("right", "shifted", "circle",
+                                       "factorization"))
+    def test_covers_reference(self, where, three_prime_table, desk_table):
+        if where == "factorization":
+            table = desk_table
+            s = np.array((0.05, 0.1, 0.3, 0.6, 1.0, 0.3 + 0.2j, 0.1 + 1j,
+                          0.6 - 0.5j, 1.0 + 2j, 0.05 + 0.3j, 0.8 + 0.1j,
+                          0.4 - 1.5j))
+        else:
+            table = three_prime_table
+            s = self._nodes(where, table)
+        value, cert = analytic.F_factored_bounded(s, table)
+        ref, ref_cert = _reference_F(s, table)
+        assert np.all(ref_cert < cert)
+        # the certificates bound truncation; rounding is allowed for apart,
+        # 2^-52 of |F| per step of either route
+        steps = (_steps(table, analytic._P0, analytic._P1, analytic._M)
+                 + _steps(table, *_REFERENCE.values()))
+        rounding = 2.0**-52 * steps * np.abs(ref)
+        assert np.all(np.abs(value - ref) <= cert + ref_cert + rounding)
 
 
 class TestContour:
@@ -361,8 +519,8 @@ class TestContour:
         # F stubbed to 1: the call count is the point, not the values
         calls = []
 
-        def unit_f(s, table, pmax):
-            calls.append(pmax)
+        def unit_f(s, table):
+            calls.append(np.shape(s))
             return np.ones(np.shape(s), dtype=complex), np.zeros(np.shape(s))
 
         monkeypatch.setattr(analytic, "F_factored_bounded", unit_f)
@@ -374,6 +532,33 @@ class TestContour:
         assert type(one.value) is float and type(one.err_estimate) is float
         assert one.value == many.value[1]
         assert one.err_estimate == many.err_estimate[1]
+
+    def test_certificate_weights_F_per_node(self, three_prime_table,
+                                            monkeypatch):
+        # F stubbed to 1 with a certificate c on every node: each contour's
+        # error estimate grows by c times its quadrature of |y^s phi~ ds|
+        table, ys = three_prime_table, (2.0, 5.0)
+        estimates = {}
+        for c in (0.0, 1.0):
+            monkeypatch.setattr(analytic, "F_factored_bounded", lambda s, _: (
+                np.ones(np.shape(s), dtype=complex), np.full(np.shape(s), c)))
+            circle, line = analytic.shifted_contour(ys, table)
+            estimates[c] = (analytic.S_via_contour(ys, table).err_estimate,
+                            line.err_estimate, circle.err_estimate)
+        nodes, weights = smoothing.vertical_line_nodes(analytic._TMAX)
+        sigma = -1.0 / math.log(math.log(table.params.D)) ** 2
+        rho = min(1.0 / math.log(max(table.params.x, *ys, 3.0)), 0.15)
+        ring = rho * np.exp(2j * math.pi * np.arange(analytic._N_CIRCLE)
+                            / analytic._N_CIRCLE)
+        for i, y in enumerate(ys):
+            def mass(s):
+                return np.abs(np.exp(s * math.log(y)) * smoothing.mellin_phi(s))
+            want = (np.dot(weights, mass(analytic._SIGMA_LINE + 1j * nodes)),
+                    np.dot(weights, mass(sigma + 1j * nodes)),
+                    math.pi * np.mean(mass(ring) * rho))
+            for got_1, got_0, area in zip(estimates[1.0], estimates[0.0], want):
+                assert got_1[i] - got_0[i] == pytest.approx(area / math.pi,
+                                                            rel=1e-12)
 
     @pytest.mark.parametrize("y", (2.0, 5.0, 10.0))
     def test_matches_direct_sum(self, three_prime_contour, three_prime_kernel,
@@ -393,15 +578,15 @@ class TestContour:
         assert [row["y"] for row in rows] == [2.0, 5.0, 10.0]
         assert rows[1]["contour"] == pytest.approx(1.5057442856798051,
                                                    abs=1e-6)
-        assert rows[1]["shifted"] == pytest.approx(1.5057514842786266,
+        assert rows[1]["shifted"] == pytest.approx(1.5057442939426176,
                                                    rel=1e-12)
 
     def test_shift_reads_the_given_line(self, three_prime_table, monkeypatch):
         # F stubbed to 1 and an infinite bound: the call count is the point
         calls = []
 
-        def unit_f(s, table, pmax=200_000):
-            calls.append(pmax)
+        def unit_f(s, table):
+            calls.append(np.shape(s))
             return np.ones(np.shape(s), dtype=complex), np.zeros(np.shape(s))
 
         def no_line(y, table):
@@ -466,7 +651,7 @@ class TestResonance:
     def test_desk_report_frozen(self, desk_table, desk_params):
         rep = analytic.resonance_bound(desk_table)
         assert rep.ratio > 1.0
-        assert rep.ratio == pytest.approx(1.1452158096584435, rel=1e-10)
+        assert rep.ratio == pytest.approx(1.1452158552082483, rel=1e-10)
         assert rep.trig_min_observed >= analytic.TRIG_MIN
         assert rep.band_sum > 0.0
         assert abs(rep.t_best - rep.t_center) <= \

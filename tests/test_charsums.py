@@ -528,11 +528,11 @@ class TestCentralValue:
     @pytest.mark.parametrize("d", [1, 3, 105, 1249, 100003])
     def test_oracle_independent_of_block(self, d, monkeypatch):
         # blocks of 2 and 10 residues leave short and empty live sets and
-        # end off the multiples of 8; 2^14 is the default, pinned against
-        # the 2^15 it replaced; 2^22 takes every residue in one block.  At
-        # d = 100003 blocks of 2 would take 26 s, and blocks of 10 already
-        # cut its 400 k residues into 40 k blocks
-        blocks = [10, 1 << 14, 1 << 15, 1 << 22]
+        # end off the multiples of 8; 2^13 is the default, pinned against
+        # the 2^14 and 2^15 it replaced; 2^22 takes every residue in one
+        # block.  At d = 100003 blocks of 2 would take 26 s, and blocks of
+        # 10 already cut its 400 k residues into 40 k blocks
+        blocks = [10, 1 << 13, 1 << 14, 1 << 15, 1 << 22]
         if d < 10**4:
             blocks.insert(0, 2)
         values = set()
@@ -542,8 +542,9 @@ class TestCentralValue:
         assert len(values) == 1
 
     def test_oracle_memory_bounded_by_block(self):
-        # one block of 2^14 residues holds about 1.3 MiB (2.2 MiB at 2^15);
-        # the whole range of q/2 residues in one block would hold 20 MiB
+        # the Jacobi table's build peaks at about 1.3 MiB, above one block
+        # of 2^13 residues (2.2 MiB at 2^15); the whole range of q/2
+        # residues in one block would hold 20 MiB
         charsums.dirichlet_l_half(100003)
         tracemalloc.start()
         try:

@@ -462,6 +462,23 @@ class TestErrorPaths:
         assert "residue table guard" in proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["wide.cfg"]
 
+    @pytest.mark.parametrize("case, code", [("empty_family", cli.EXIT_CONFIG),
+                                            ("table_guard", cli.EXIT_WORK)])
+    def test_failed_ratio_leaves_no_outdir(self, case, code, tmp_path):
+        # ratio opens its CSV, making the outdir, before the scan refuses;
+        # the directories it made go again with the CSV's temp file
+        if case == "empty_family":
+            text = SMALL_CFG.replace("D = 200", "D = 2")  # no odd d in (1, 2]
+        else:
+            text = DESK_CFG.replace("x = 200\n", "x = 1e5\n")
+        (tmp_path / "run.cfg").write_text(
+            text.replace("outdir = out\n", "") + "outdir = fresh/out\n")
+        proc = _run_cli(["--config", "run.cfg", "ratio"], tmp_path)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
     def test_params_schedule_error_on_stderr(self, tmp_path):
         # x^1.5 overflows a float: params reports it as every command does
         (tmp_path / "over.cfg").write_text("mode = explicit\nL = 10\n"
@@ -609,7 +626,7 @@ class TestVerifySuites:
         points = rep["result"]["points"]
         assert len(points) == 12
         for row in points:
-            assert row["margin"] == row["gap"] / row["cert"] <= 1.0
+            assert row["margin"] == row["gap"] / row["bound"] <= 1.0
         worst = rep["result"]["worst_over_cert"]
         assert worst == max(row["margin"] for row in points)
         assert 0.0 < worst <= 1.0

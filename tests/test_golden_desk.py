@@ -32,3 +32,14 @@ def test_mismatch_names_first_difference():
                                           manifest)
     assert "lines 297-300, which now begin b'296," in golden.mismatch(
         "rows.csv", rows[:-4], manifest)
+
+
+def test_rewrite_names_changed_artifacts():
+    a, b = b'{"x": 1}', b'{"x": 2}'
+    old = {"artifacts": {"kept.json": golden.entry("kept.json", a),
+                         "moved.json": golden.entry("moved.json", a)}}
+    new = {"artifacts": {"kept.json": golden.entry("kept.json", a),
+                         "moved.json": golden.entry("moved.json", b),
+                         "added.json": golden.entry("added.json", a)}}
+    assert golden.changed(old, new) == ["moved.json", "added.json"]
+    assert golden.changed(new, new) == []

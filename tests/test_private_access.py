@@ -214,14 +214,14 @@ def test_detector_flags_reaches(tmp_path):
         "import reslab.sieve as sv\n"
         "from reslab import analytic, charsums as cs\n"
         "from reslab.arith import _helper, kronecker\n"
-        "analytic._g_tail_pmax(0.25, 1e-7)\n"
+        "analytic._least_n(0.25, 1.0, 10)\n"
         "cs._chi8d_residues\n"
         "sv._gauss_order\n"
         "reslab.smoothing._mellin_raw\n"
         "reslab.__version__\n"
         "analytic.F_direct\n")
     assert sorted(private_reaches(demo)) == [
-        "analytic._g_tail_pmax", "arith._helper", "charsums._chi8d_residues",
+        "analytic._least_n", "arith._helper", "charsums._chi8d_residues",
         "sieve._gauss_order", "smoothing._mellin_raw"]
 
 
