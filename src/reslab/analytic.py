@@ -371,7 +371,7 @@ def _divisor_lattice(params: ResonatorParams, band: tuple, ell_max: float,
     big = math.prod(1.0 + 2.0 * abs(rt) / math.sqrt(p) for p, rt in band)
     runs = [np.arange(e - 1, m_max, e, dtype=np.int32) for e in divisors]
     starts = np.cumsum([0] + [r.size for r in runs[:-1]])
-    return (np.log([e for e, _, _ in ells]),
+    return (np.log(values),
             np.array([w / math.sqrt(e) for e, w, _ in ells]),
             np.log(np.arange(1, m_max + 1, dtype=float)), bfull[1:],
             np.concatenate(runs), starts, np.concatenate(pair_ell),
